@@ -133,13 +133,18 @@ def negate(m: SignMap) -> SignMap:
 
 # ---------------------------------------------------------------- checking
 
-def check_chirotope(m: SignMap, allow_large=False) -> ValidationReport:
-    """Check C1, C3, and C4; report one witness per violated axiom."""
-    if not allow_large and (m.n > MAX_CHECK_N or m.rank > MAX_CHECK_RANK):
+def guard_check_size(n, rank, allow_large):
+    """Refuse an axiom check past the default size guard."""
+    if not allow_large and (n > MAX_CHECK_N or rank > MAX_CHECK_RANK):
         raise SizeGuardError(
             f"axiom check guarded at n <= {MAX_CHECK_N}, rank <= {MAX_CHECK_RANK} "
-            f"(got n={m.n}, rank={m.rank}); lift explicitly to proceed"
+            f"(got n={n}, rank={rank}); lift explicitly to proceed"
         )
+
+
+def check_chirotope(m: SignMap, allow_large=False) -> ValidationReport:
+    """Check C1, C3, and C4; report one witness per violated axiom."""
+    guard_check_size(m.n, m.rank, allow_large)
     report = ValidationReport()
     missing = _c1_missing(m)
     if missing:

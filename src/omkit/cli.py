@@ -93,7 +93,7 @@ def _emit_id_map(m: SignMap):
 def _validated(kind, obj, allow_large):
     """Check the object; on violations print the report and return None."""
     if kind == "hls":
-        report = check_hyperline(obj)
+        report = check_hyperline(obj, allow_large)
     else:
         report = check_chirotope(obj, allow_large)
     for w in report.warnings:
@@ -110,7 +110,7 @@ def _validated(kind, obj, allow_large):
 def _cmd_check(args):
     kind, obj = _load(_read_text(args.file), args.format)
     if kind == "hls":
-        report = check_hyperline(obj)
+        report = check_hyperline(obj, _env_large())
     else:
         report = check_chirotope(obj, _env_large())
     print(report)

@@ -164,10 +164,11 @@ def _hls_from_obj(obj, path):
 
 def parse_hls(text: str):
     try:
-        obj = json.loads(text)
+        return _hls_from_obj(json.loads(text), "$")
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
-    return _hls_from_obj(obj, "$")
+    except RecursionError:
+        raise ParseError("sequence is nested too deeply") from None
 
 
 # -------------------------------------------------------------------- .vec

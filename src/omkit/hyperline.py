@@ -17,17 +17,16 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .chirotope import SignMap, check_chirotope, contract
-from .chirotope import delete as delete_chirotope
+from . import chirotope
+from .chirotope import SignMap, guard_check_size
 from .core import normalize, signed_sort_key
 from .errors import ConstructionError, DeletionError, ValidationReport
 
 
 def _canonical_rotation(atoms):
     enc = [tuple(sorted(a, key=signed_sort_key)) for a in atoms]
-    p = len(atoms)
-    best = min(range(p), key=lambda s: tuple(enc[(s + i) % p] for i in range(p)))
-    return tuple(atoms[(best + i) % p] for i in range(p))
+    best = min(range(len(atoms)), key=lambda s: enc[s:] + enc[:s])
+    return tuple(atoms[best:] + atoms[:best])
 
 
 class HLRank1:
@@ -154,15 +153,20 @@ def ordered_hyperlines(x) -> list:
     """Hyperlines in canonical display order: grouped by hyperline ground,
     the orientation whose lexicographically smallest positive base on Y is
     positive first, then by encoding."""
-    def key(h):
-        yb = bases(h.y)
+    return [h for h, _ in _ordered_with_y_bases(x)]
+
+
+def _ordered_with_y_bases(x) -> list:
+    """ordered_hyperlines, each paired with bases(h.y), computed once."""
+    def key(item):
+        h, yb = item
         flag = 2
         if yb:
             sup, sgn = min(yb)
             flag = 0 if sgn > 0 else 1
         return (tuple(sorted(h.y.ground)), flag, encoding(h.y), encoding(h.z))
 
-    return sorted(x.hyperlines, key=key)
+    return sorted(((h, bases(h.y)) for h in x.hyperlines), key=key)
 
 
 # ------------------------------------------------------------------- bases
@@ -206,10 +210,16 @@ def bases(x) -> set:
             elif k < d < p:
                 out.add(((u, v), -1))
         return out
+    return _join_bases((bases(h.y), bases(h.z)) for h in x.hyperlines)
+
+
+def _join_bases(pairs) -> set:
+    """Bases of a rank r > 2 sequence from its hyperlines' (Y bases,
+    Z bases) pairs."""
     out = set()
-    for h in x.hyperlines:
-        for sup_y, sign_y in bases(h.y):
-            for sup_z, sign_z in bases(h.z):
+    for yb, zb in pairs:
+        for sup_y, sign_y in yb:
+            for sup_z, sign_z in zb:
                 if set(sup_y) & set(sup_z):
                     continue
                 support = tuple(sorted(sup_y + sup_z))
@@ -253,7 +263,10 @@ def _positive_tuples(x) -> set:
 
 # -------------------------------------------------------------- validation
 
-def check_hyperline(x) -> ValidationReport:
+def check_hyperline(x, allow_large=False) -> ValidationReport:
+    """Check structure and H1..H4 on the sequence itself, never through
+    its chirotope; report one witness per violated axiom."""
+    guard_check_size(len(x.ground), x.rank, allow_large)
     report = ValidationReport()
     _check(x, report, "")
     return report
@@ -313,9 +326,9 @@ def _check_higher(x, report, path):
     if not x.hyperlines:
         report.add("structure", (path,), f"{at}no hyperlines")
         return
-    ordered = ordered_hyperlines(x)
+    ordered = _ordered_with_y_bases(x)
     structural_ok = True
-    for i, h in enumerate(ordered):
+    for i, (h, _) in enumerate(ordered):
         sub = f"{path}hyperline[{i}]" if not path else f"{path}.hyperline[{i}]"
         if getattr(h.y, "rank", None) != x.rank - 2:
             report.add("structure", (sub,),
@@ -341,69 +354,128 @@ def _check_higher(x, report, path):
             report.add("H1", (sub,),
                        f"{sub}: Y and Z grounds do not cover the ground set")
             structural_ok = False
-    for i, h in enumerate(ordered):
-        if _negate_hyperline(h) not in x.hyperlines:
+    index = {h: i for i, (h, _) in enumerate(ordered)}
+    opposite = []  # ordered index of each hyperline's negation
+    for i, (h, _) in enumerate(ordered):
+        j = index.get(_negate_hyperline(h))
+        if j is None:
             report.add("structure", (f"hyperline[{i}]",),
                        f"hyperline[{i}]: negated orientation is missing "
                        "(sequences store both)")
             structural_ok = False
             break
+        opposite.append(j)
     if not structural_ok:
         return
 
+    # hyperlines grouped by Y ground, in display order within a group
+    on_ground = {}
+    for i, (h, _) in enumerate(ordered):
+        on_ground.setdefault(h.y.ground, []).append(i)
+
     # one hyperline per flat: every way of dropping two elements from a
     # base must land on some hyperline
-    all_bases = bases(x)
+    all_bases = _join_bases((yb, bases(h.z)) for h, yb in ordered)
+    covered = set()
     for sup, _ in sorted(all_bases):
         for p in itertools.combinations(sup, x.rank - 2):
-            if not any(set(p) <= h.y.ground for h in ordered):
+            if p in covered:
+                continue
+            if not any(g.issuperset(p) for g in on_ground):
                 report.add("structure", (p,),
                            f"no hyperline contains {p}")
                 return
+            covered.add(p)
 
     # H2: a positive base of one Y lying inside another Y's ground forces
     # the two hyperlines to agree up to simultaneous negation.
-    for i, h1 in enumerate(ordered):
-        sups1 = {frozenset(s) for s, _ in bases(h1.y)}
-        for j, h2 in enumerate(ordered):
-            if i == j:
-                continue
-            if any(s <= h2.y.ground for s in sups1):
-                if h1 != h2 and h1 != _negate_hyperline(h2):
-                    report.add("H2", (i, j),
-                               f"hyperlines [{i}] and [{j}] share a base of Y "
-                               "but are not equal or opposite")
-                    break
+    holding = {}  # Y base support -> hyperlines whose Y ground contains it
+    for i, (_, yb) in enumerate(ordered):
+        near = set()
+        for sup, _ in yb:
+            if sup not in holding:
+                holding[sup] = [j for g, js in on_ground.items()
+                                if g.issuperset(sup) for j in js]
+            near.update(holding[sup])
+        j = next((j for j in sorted(near) if j != i and opposite[j] != i),
+                 None)
+        if j is not None:
+            report.add("H2", (i, j),
+                       f"hyperlines [{i}] and [{j}] share a base of Y "
+                       "but are not equal or opposite")
+            break
+
+    # H3 and H4 range over the positive tuples yt + (a, b) of x: yt a
+    # positive tuple of some Y, (a, b) one of the same hyperline's Z.
+    # They are indexed rather than listed: each yt maps to one completion
+    # table {a: {b}}, merged over the hyperlines whose Y has yt.
+    completions = {}
+    for h, _ in ordered:
+        table = {}
+        for a, b in _positive_tuples(h.z):
+            table.setdefault(a, set()).add(b)
+        if not table:
+            continue
+        for yt in _positive_tuples(h.y):
+            prev = completions.get(yt)
+            completions[yt] = table if prev is None else {
+                a: prev.get(a, set()) | table.get(a, set())
+                for a in prev.keys() | table.keys()
+            }
+    if not completions:
+        report.add("structure", ((),), "no positively oriented bases")
+        return
+    _h3_h4(x, completions, {sup for sup, _ in all_bases}, report)
+
+
+def _h3_h4(x, completions, supports, report):
+    """First H3 and first H4 witness, visiting prefixes yt + (a,) and
+    then tuples in lexicographic order.
+
+    H3: a base with no element completing the prefix lies inside the
+    elements that complete nothing; on a uniform sequence those are
+    fewer than r.  Their r-subsets come in lexicographic order, so the
+    first base among them is the smallest.  (Once every component has
+    passed its own checks, the supports of the positive tuples are those
+    of the bases.)
+    H4: the image of yt + (a, b) is yt[:-1] + (-a,) + (yt[-1], b)."""
+    r, ground = x.rank, x.ground
+    spanless = set()  # element sets already known to hold no base
+    h3 = h4 = None
+    for yt in sorted(completions):
+        table = completions[yt]
+        for a in sorted(table):
+            done = table[a]
+            if h3 is None:
+                free = ground.difference(map(abs, done))
+                if len(free) >= r and free not in spanless:
+                    tsup = next((c for c in
+                                 itertools.combinations(sorted(free), r)
+                                 if c in supports), None)
+                    if tsup is None:
+                        spanless.add(free)
+                    else:
+                        h3 = (yt + (a,), tsup)
+            if h4 is None:
+                lost = done.difference(
+                    completions.get(yt[:-1] + (-a,), {}).get(yt[-1], ()))
+                if lost:
+                    h4 = yt + (a, min(lost))
+            if h3 and h4:
+                break
         else:
             continue
         break
-
-    tuples = _positive_tuples(x)
-    if not tuples:
-        report.add("structure", ((),), "no positively oriented bases")
-        return
-    supports = {tuple(sorted(abs(v) for v in t)) for t in tuples}
-    prefixes = sorted({t[:-1] for t in tuples})
-    for pref in prefixes:
-        for tsup in sorted(supports):
-            if not any(pref + (u,) in tuples or pref + (-u,) in tuples
-                       for u in tsup):
-                report.add("H3", (pref, tsup),
-                           f"no exchange: prefix {pref} admits no completion "
-                           f"from base {tsup}")
-                return _h4(x, tuples, report)
-    _h4(x, tuples, report)
-
-
-def _h4(x, tuples, report):
-    r = x.rank
-    for t in sorted(tuples):
-        moved = t[: r - 3] + (-t[r - 2], t[r - 3]) + t[r - 1:]
-        if moved not in tuples:
-            report.add("H4", (t,),
-                       f"base {t} survives no swap across the hyperline "
-                       f"boundary (image {moved} is not positive)")
-            return
+    if h3:
+        pref, tsup = h3
+        report.add("H3", h3,
+                   f"no exchange: prefix {pref} admits no completion "
+                   f"from base {tsup}")
+    if h4:
+        moved = h4[: r - 3] + (-h4[r - 2], h4[r - 3]) + h4[r - 1:]
+        report.add("H4", (h4,),
+                   f"base {h4} survives no swap across the hyperline "
+                   f"boundary (image {moved} is not positive)")
 
 
 # -------------------------------------------------------------- conversion
@@ -570,7 +642,7 @@ def minor_hls(x, delete=(), contract=()):
         missing = [e for e in delete if e not in inv]
         if missing:
             raise ValueError(f"elements not in the ground set: {sorted(missing)}")
-        m, report = delete_chirotope(m, {inv[e] for e in delete})
+        m, report = chirotope.delete(m, {inv[e] for e in delete})
         if not report.ok:
             raise DeletionError(
                 "deletion does not leave a chirotope:\n" + str(report)
@@ -580,8 +652,5 @@ def minor_hls(x, delete=(), contract=()):
         missing = [e for e in contract if e not in inv]
         if missing:
             raise ValueError(f"elements not in the ground set: {sorted(missing)}")
-        m = contract_chirotope(m, [inv[e] for e in contract])
+        m = chirotope.contract(m, [inv[e] for e in contract])
     return from_chirotope(m)
-
-
-contract_chirotope = contract

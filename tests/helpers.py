@@ -76,6 +76,138 @@ def literal_axiom_check(m):
     return literal_c1(m) and literal_c3(m) and literal_c4(m)
 
 
+# ----------------------------------------------- literal hyperline axioms
+#
+# These read a sequence only through its data (.rank, .chosen, .atoms,
+# .hyperlines, .y, .z, .ground) and call nothing in omkit.hyperline.  The
+# H2/H3/H4 scans are the original quadratic ones.
+
+
+def _signed_key(e):
+    return (abs(e), e < 0)
+
+
+def literal_positive_tuples(x):
+    """Every positively oriented signed tuple, rebuilt from .chosen and
+    .atoms: rank 2 pairs by atom position, higher ranks as Y tuple plus
+    a Z pair on disjoint elements."""
+    if x.rank == 1:
+        return {(e,) for e in x.chosen}
+    if x.rank == 2:
+        p = len(x.atoms)
+        k = p // 2
+        pos = {s: i for i, a in enumerate(x.atoms) for s in a}
+        return {(a, b) for a in pos for b in pos
+                if abs(a) != abs(b) and 0 < (pos[b] - pos[a]) % p < k}
+    out = set()
+    for h in x.hyperlines:
+        zp = literal_positive_tuples(h.z)
+        for yt in literal_positive_tuples(h.y):
+            used = {abs(v) for v in yt}
+            out.update(yt + pair for pair in zp
+                       if abs(pair[0]) not in used and abs(pair[1]) not in used)
+    return out
+
+
+def _oriented_bases(x):
+    """(support, sign) read off the positive tuples: the sign of the
+    permutation sorting a tuple times the signs of its entries."""
+    out = set()
+    for t in literal_positive_tuples(x):
+        sign = 1
+        for i, v in enumerate(t):
+            if v < 0:
+                sign = -sign
+            sign *= (-1) ** sum(abs(v) > abs(w) for w in t[i + 1:])
+        out.add((tuple(sorted(abs(v) for v in t)), sign))
+    return out
+
+
+def _canon(x, negated=False):
+    """Key equal for equal sequences (rank 2 up to rotation), of x or of
+    its negation: rank 1 negates every element, rank 2 reverses the
+    cyclic order, higher ranks negate every Z."""
+    if x.rank == 1:
+        return (1, frozenset(-e if negated else e for e in x.chosen))
+    if x.rank == 2:
+        p = len(x.atoms)
+        atoms = [x.atoms[(-a) % p] if negated else x.atoms[a] for a in range(p)]
+        enc = [tuple(sorted(a, key=_signed_key)) for a in atoms]
+        return (2, min(tuple(enc[s:] + enc[:s]) for s in range(p)))
+    return (x.rank, frozenset((_canon(h.y), _canon(h.z, negated))
+                              for h in x.hyperlines))
+
+
+def _encoding(x):
+    if x.rank == 1:
+        return (1, tuple(sorted(x.chosen, key=_signed_key)))
+    if x.rank == 2:
+        return (2, tuple(tuple(sorted(a, key=_signed_key)) for a in x.atoms))
+    return (x.rank, tuple(sorted((_encoding(h.y), _encoding(h.z))
+                                 for h in x.hyperlines)))
+
+
+def literal_display_order(x):
+    """Hyperlines grouped by Y ground, the orientation whose smallest Y
+    base is positive first, then by encoding."""
+    def key(h):
+        yb = _oriented_bases(h.y)
+        flag = 2
+        if yb:
+            flag = 0 if min(yb)[1] > 0 else 1
+        return (tuple(sorted(h.y.ground)), flag, _encoding(h.y), _encoding(h.z))
+
+    return sorted(x.hyperlines, key=key)
+
+
+def literal_h2_h3_h4(x):
+    """(axiom, witness, message) of the first H2, H3 and H4 violation of a
+    rank >= 3 sequence whose structure, H1 and flat coverage hold, by the
+    quadratic scans: every ordered pair of hyperlines, every prefix
+    against every base support, every positive tuple in order."""
+    out = []
+    ordered = literal_display_order(x)
+    for i, h1 in enumerate(ordered):
+        sups1 = {frozenset(s) for s, _ in _oriented_bases(h1.y)}
+        for j, h2 in enumerate(ordered):
+            if i == j or not any(s <= h2.y.ground for s in sups1):
+                continue
+            k1 = (_canon(h1.y), _canon(h1.z))
+            if k1 != (_canon(h2.y), _canon(h2.z)) and \
+                    k1 != (_canon(h2.y, True), _canon(h2.z, True)):
+                out.append(("H2", (i, j),
+                            f"hyperlines [{i}] and [{j}] share a base of Y "
+                            "but are not equal or opposite"))
+                break
+        else:
+            continue
+        break
+
+    tuples = literal_positive_tuples(x)
+    supports = {tuple(sorted(abs(v) for v in t)) for t in tuples}
+    for pref in sorted({t[:-1] for t in tuples}):
+        for tsup in sorted(supports):
+            if not any(pref + (u,) in tuples or pref + (-u,) in tuples
+                       for u in tsup):
+                out.append(("H3", (pref, tsup),
+                            f"no exchange: prefix {pref} admits no "
+                            f"completion from base {tsup}"))
+                break
+        else:
+            continue
+        break
+
+    r = x.rank
+    for t in sorted(tuples):
+        moved = t[: r - 3] + (-t[r - 2], t[r - 3]) + t[r - 1:]
+        if moved not in tuples:
+            out.append(("H4", (t,),
+                        f"base {t} survives no swap across the hyperline "
+                        f"boundary (image {moved} is not positive)"))
+            break
+    return out
+
+
 # ------------------------------------------------------ rank 2 by angles
 
 def angular_atoms(rows):

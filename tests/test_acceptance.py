@@ -51,28 +51,32 @@ def om(*args):
 
 
 def test_criterion_1_encodings_agree_exhaustively():
-    # Every sign assignment on the pairs from 4 elements: the axiom check
-    # accepts exactly the maps whose hyperline sequence builds, validates,
-    # and reproduces the same oriented bases.  Bound: 10 seconds.
+    # Every sign assignment on the r-subsets of n elements, for (n, r) =
+    # (4, 2), (4, 3) and (5, 4): the axiom check accepts exactly the maps
+    # whose hyperline sequence builds, validates, and reproduces the same
+    # oriented bases.  Bound: 10 seconds for all three.
     start = time.monotonic()
-    supports = list(itertools.combinations(range(1, 5), 2))
-    valid = 0
-    for signs in itertools.product((-1, 0, 1), repeat=6):
-        m = SignMap(2, 4, dict(zip(supports, signs)))
-        direct = check_chirotope(m).ok
-        try:
-            x = from_chirotope(m)
-        except ConstructionError:
-            dual = False
-        else:
-            dual = (
-                check_hyperline(x).ok
-                and bases(x) == {(s, v) for s, v in m.items() if v}
+    for n, r, expected in ((4, 2, 200), (4, 3, 72), (5, 4, 232)):
+        supports = list(itertools.combinations(range(1, n + 1), r))
+        valid = 0
+        for signs in itertools.product((-1, 0, 1), repeat=len(supports)):
+            m = SignMap(r, n, dict(zip(supports, signs)))
+            direct = check_chirotope(m).ok
+            try:
+                x = from_chirotope(m)
+            except ConstructionError:
+                dual = False
+            else:
+                dual = (
+                    check_hyperline(x).ok
+                    and bases(x) == {(s, v) for s, v in m.items() if v}
+                )
+            assert direct == dual, (
+                f"encodings disagree on {dict(zip(supports, signs))}"
             )
-        assert direct == dual, f"encodings disagree on {dict(zip(supports, signs))}"
-        valid += direct
-    # the count both routes agree on
-    assert valid == 200
+            valid += direct
+        # the count both routes agree on
+        assert valid == expected, (n, r, valid)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"exhaustive agreement took {elapsed:.1f}s"
 

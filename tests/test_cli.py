@@ -83,6 +83,31 @@ class TestCheck:
         res = run_om("check", "-", stdin=big, env_extra={"OM_SIZE_OVERRIDE": "1"})
         assert res.returncode == 0
 
+    def test_hls_size_guard(self, tmp_path):
+        p = tmp_path / "big.hls"
+        p.write_text(serialize_hls(from_chirotope(
+            from_vectors([(1, k) for k in range(10)]))))
+        res = run_om("check", str(p))
+        assert res.returncode == 1
+        assert "guarded" in res.stderr
+        res = run_om("check", str(p), env_extra={"OM_SIZE_OVERRIDE": "1"})
+        assert res.returncode == 0
+
+    def test_deep_nesting(self, tmp_path):
+        # rank 801 through 400 nested hyperlines, written as text in a loop
+        depth = 400
+        z = '{"rank":2,"atoms":[["999"],["~999"]]}'
+        head = "".join(
+            f'{{"rank":{801 - 2 * i},"hyperlines":[{{"Z":{z},"Y":'
+            for i in range(depth)
+        )
+        p = tmp_path / "deep.hls"
+        p.write_text(head + '{"rank":1,"elements":["1"]}' + "}]}" * depth)
+        res = run_om("check", str(p))
+        assert res.returncode == 2
+        assert "error: sequence is nested too deeply" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestConvert:
     def test_chi_hls_chi_identity(self, frame4):

@@ -1,8 +1,14 @@
+import collections
 import random
 
 import pytest
 
-from helpers import angular_atoms, random_fullrank_rows, rotations_equal
+from helpers import (
+    angular_atoms,
+    literal_h2_h3_h4,
+    random_fullrank_rows,
+    rotations_equal,
+)
 from omkit import (
     ConstructionError,
     DeletionError,
@@ -11,6 +17,7 @@ from omkit import (
     HLRank2,
     Hyperline,
     SignMap,
+    SizeGuardError,
     bases,
     check_chirotope,
     check_hyperline,
@@ -188,6 +195,32 @@ class TestCheck:
         assert not report.ok
         assert any(v.axiom == "H4" for v in report.violations)
 
+    def test_h3_no_exchange(self):
+        # 2 and 3 share an atom around {1}, so {1, 2, 3} is a flat, yet
+        # hyperlines {2} and {3} rotate through it as if 1, 2, 3 spanned
+        # the space: the prefix (-1, -3) completes with neither 1, 2 nor 3
+        x = closed(
+            3,
+            hl({1}, [{2, 3}, {4}, {-2, -3}, {-4}]),
+            hl({2}, [{1}, {3}, {4}, {-1}, {-3}, {-4}]),
+            hl({3}, [{1}, {2}, {4}, {-1}, {-2}, {-4}]),
+            hl({4}, [{1}, {2}, {3}, {-1}, {-2}, {-3}]),
+        )
+        report = check_hyperline(x)
+        h3 = [v for v in report.violations if v.axiom == "H3"]
+        assert len(h3) == 1
+        assert h3[0].witness == ((-1, -3), (1, 2, 3))
+        assert str(h3[0]) == (
+            "H3 violated: no exchange: prefix (-1, -3) admits no completion "
+            "from base (1, 2, 3)"
+        )
+
+    def test_size_guard(self):
+        x = from_chirotope(from_vectors([(1, k) for k in range(10)]))
+        with pytest.raises(SizeGuardError):
+            check_hyperline(x)
+        assert check_hyperline(x, allow_large=True).ok
+
     def test_rank2_component_errors_have_paths(self):
         x = closed(
             3,
@@ -362,3 +395,51 @@ class TestMinorHls:
         x = HLRank2([{2}, {5}, {9}, {-2}, {-5}, {-9}])
         y = minor_hls(x, delete=(5,))
         assert y.ground == {2, 9}
+
+
+def _mutated_z(rng, z):
+    """An antipodal rank 2 sequence from z: rotate, then either apply a
+    random signed permutation to one half or merge two adjacent atoms."""
+    atoms = list(z.atoms)
+    s = rng.randrange(len(atoms))
+    atoms = atoms[s:] + atoms[:s]
+    half = atoms[: len(atoms) // 2]
+    if len(half) >= 2 and rng.random() < 0.5:
+        half[:2] = [half[0] | half[1]]
+    else:
+        rng.shuffle(half)
+        half = [a if rng.random() < 0.5 else frozenset(-e for e in a)
+                for a in half]
+    return HLRank2(half + [frozenset(-e for e in a) for a in half])
+
+
+def _mutated(rng, x):
+    """x with one hyperline's Z permuted or merged, in both orientations;
+    the new pair replaces the old one or joins it."""
+    h = rng.choice(sorted(x.hyperlines, key=repr))
+    new = Hyperline(h.y, _mutated_z(rng, h.z))
+    pair = {new, Hyperline(negate_hls(new.y), negate_hls(new.z))}
+    kept = set(x.hyperlines)
+    if rng.random() < 0.7:
+        kept -= {h, Hyperline(negate_hls(h.y), negate_hls(h.z))}
+    return HLHigher(x.rank, kept | pair)
+
+
+def test_matches_literal_scans():
+    # The indexed H2/H3/H4 scans report the same violations, witnesses
+    # and order as the quadratic scans in the literal oracle.
+    rng = random.Random(20261017)
+    seen = collections.Counter()
+    for _ in range(150):
+        r = rng.choice((3, 4))
+        n = rng.randint(r + 1, 6)
+        rows = random_fullrank_rows(rng, n, r, bound=rng.choice((1, 2, 5)))
+        x = from_chirotope(from_vectors(rows))
+        for _ in range(rng.randint(0, 2)):
+            x = _mutated(rng, x)
+        got = [(v.axiom, v.witness, v.message)
+               for v in check_hyperline(x).violations]
+        assert got == literal_h2_h3_h4(x)
+        seen.update(axiom for axiom, _, _ in got)
+        seen["ok"] += not got
+    assert seen["H2"] and seen["H3"] and seen["H4"] and seen["ok"], seen
