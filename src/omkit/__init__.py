@@ -17,12 +17,12 @@ from .chirotope import (
     contract,
     delete,
     det_sign,
+    enumerate_bodies,
     evaluate,
     find_deletable,
     from_vectors,
     negate,
 )
-from .cli import enumerate_bodies
 from .core import (
     CanonicalBasis,
     GroundSet,
@@ -51,7 +51,6 @@ from .faces import (
     ArrangementR2,
     FaceCensus,
     canonical_arrangement,
-    classify_arrangement_full,
     cocircuits,
     compose,
     covectors,

@@ -10,14 +10,17 @@ products compared share their first r-2 entries, the scan iterates over
 ascending unsigned prefixes only (any other prefix gives the same products
 up to a squared sign) and handles the remaining four slots with an exact
 int8 table, so no float ever enters a sign decision.
+
+enumerate_bodies counts, by brute force, the sign maps that pass the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .errors import (
 
 MAX_CHECK_N = 9
 MAX_CHECK_RANK = 5
+MAX_ENUM_SUPPORTS = 20
 
 
 class OrientationClass(Enum):
@@ -412,3 +416,68 @@ def classify_full(m: SignMap) -> OrientationClass:
     if v == 0:
         raise ValueError("not a chirotope: the only possible basis has value 0")
     return OrientationClass.PLUS if v > 0 else OrientationClass.MINUS
+
+
+# -------------------------------------------------------------- enumerate
+
+def _body_at(index, width, alphabet):
+    base = len(alphabet)
+    chars = []
+    for p in range(width - 1, -1, -1):
+        chars.append(alphabet[(index // base**p) % base])
+    return "".join(chars)
+
+
+def _enum_chunk(task):
+    n, r, uniform, lo, hi, want_bodies = task
+    alphabet = "-+" if uniform else "-0+"
+    signs = {"-": -1, "0": 0, "+": 1}
+    supports = list(itertools.combinations(range(1, n + 1), r))
+    width = len(supports)
+    count = 0
+    bodies = []
+    for i in range(lo, hi):
+        body = _body_at(i, width, alphabet)
+        values = dict(zip(supports, (signs[c] for c in body)))
+        m = SignMap(r, n, values)
+        if check_chirotope(m, allow_large=True).ok:
+            count += 1
+            if want_bodies:
+                bodies.append(body)
+    return count, bodies
+
+
+def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
+                     allow_large=False):
+    """Scan every sign assignment on the r-subsets of 1..n (uniform: no
+    zeros) in '-' < '0' < '+' order and count the ones that validate.
+    At most os.cpu_count() worker processes split the scan.
+    Returns (valid_count, total, bodies)."""
+    if n < 1 or r < 1 or n < r:
+        raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
+    width = comb(n, r)
+    if width > MAX_ENUM_SUPPORTS and not allow_large:
+        raise SizeGuardError(
+            f"enumeration over {width} supports is guarded "
+            f"(limit {MAX_ENUM_SUPPORTS}); lift explicitly to proceed"
+        )
+    base = 2 if uniform else 3
+    total = base**width
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, total, os.cpu_count() or 1)
+    tasks = []
+    for j in range(jobs):
+        lo = total * j // jobs
+        hi = total * (j + 1) // jobs
+        tasks.append((n, r, uniform, lo, hi, want_bodies))
+    if jobs == 1:
+        results = [_enum_chunk(tasks[0])]
+    else:
+        import multiprocessing
+
+        with multiprocessing.Pool(processes=jobs) as pool:
+            results = pool.map(_enum_chunk, tasks)
+    count = sum(c for c, _ in results)
+    bodies = [b for _, bs in results for b in bs]
+    return count, total, bodies

@@ -8,21 +8,19 @@ Exit codes: 0 success (input valid where validity is the question),
 from __future__ import annotations
 
 import argparse
-import itertools
-import multiprocessing
 import os
 import sys
-from math import comb
 
 from .chirotope import (
     SignMap,
     check_chirotope,
     contract,
     delete,
+    enumerate_bodies,
     find_deletable,
     from_vectors,
 )
-from .errors import OmError, ParseError, SizeGuardError
+from .errors import OmError, ParseError
 from .faces import face_census, topes
 from .formats import (
     parse_chi,
@@ -33,8 +31,6 @@ from .formats import (
     serialize_hls,
 )
 from .hyperline import HLRank2, check_hyperline, from_chirotope, to_chirotope
-
-MAX_ENUM_SUPPORTS = 20
 
 
 def _env_large() -> bool:
@@ -218,66 +214,6 @@ def _cmd_render(args):
 
 
 # -------------------------------------------------------------- enumerate
-
-def _body_at(index, width, alphabet):
-    base = len(alphabet)
-    chars = []
-    for p in range(width - 1, -1, -1):
-        chars.append(alphabet[(index // base**p) % base])
-    return "".join(chars)
-
-
-def _enum_chunk(task):
-    n, r, uniform, lo, hi, want_bodies = task
-    alphabet = "-+" if uniform else "-0+"
-    signs = {"-": -1, "0": 0, "+": 1}
-    supports = list(itertools.combinations(range(1, n + 1), r))
-    width = len(supports)
-    count = 0
-    bodies = []
-    for i in range(lo, hi):
-        body = _body_at(i, width, alphabet)
-        values = dict(zip(supports, (signs[c] for c in body)))
-        m = SignMap(r, n, values)
-        if check_chirotope(m, allow_large=True).ok:
-            count += 1
-            if want_bodies:
-                bodies.append(body)
-    return count, bodies
-
-
-def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
-                     allow_large=False):
-    """Scan every sign assignment on the r-subsets of 1..n (uniform: no
-    zeros) in '-' < '0' < '+' order and count the ones that validate.
-    Returns (valid_count, total, bodies)."""
-    if n < 1 or r < 1 or n < r:
-        raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
-    width = comb(n, r)
-    if width > MAX_ENUM_SUPPORTS and not allow_large:
-        raise SizeGuardError(
-            f"enumeration over {width} supports is guarded "
-            f"(limit {MAX_ENUM_SUPPORTS}); lift explicitly to proceed"
-        )
-    base = 2 if uniform else 3
-    total = base**width
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    jobs = min(jobs, total)
-    tasks = []
-    for j in range(jobs):
-        lo = total * j // jobs
-        hi = total * (j + 1) // jobs
-        tasks.append((n, r, uniform, lo, hi, want_bodies))
-    if jobs == 1:
-        results = [_enum_chunk(tasks[0])]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_enum_chunk, tasks)
-    count = sum(c for c, _ in results)
-    bodies = [b for _, bs in results for b in bs]
-    return count, total, bodies
-
 
 def _cmd_enumerate(args):
     count, total, bodies = enumerate_bodies(

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .chirotope import MAX_CHECK_N, SignMap, VectorConfig, classify_full
+from .chirotope import MAX_CHECK_N, SignMap, VectorConfig
 from .errors import ArrangementError, SizeGuardError
 
 
@@ -26,10 +26,6 @@ def canonical_arrangement(d: int, sign: int) -> SignMap:
         raise ValueError("sign must be +1 or -1")
     r = d + 1
     return SignMap(r, r, {tuple(range(1, r + 1)): sign})
-
-
-def classify_arrangement_full(m: SignMap):
-    return classify_full(m)
 
 
 # ------------------------------------------------- rank <= 2 representations
@@ -121,24 +117,52 @@ def compose(u: tuple, v: tuple) -> tuple:
     return tuple(a if a else b for a, b in zip(u, v))
 
 
+# The closure and the census work on sign vectors stored as (plus, minus)
+# bit masks, bit i standing for element i + 1.
+
+
+def _mask(v: tuple) -> tuple:
+    plus = minus = 0
+    for i, s in enumerate(v):
+        if s > 0:
+            plus |= 1 << i
+        elif s < 0:
+            minus |= 1 << i
+    return plus, minus
+
+
+def _vector(plus: int, minus: int, n: int) -> tuple:
+    return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(n))
+
+
 def covectors(m: SignMap, allow_large=False) -> set:
-    """Closure of the cocircuits under composition, plus zero."""
+    """Closure of the cocircuits under composition, plus zero.
+
+    Composing u with a cocircuit c changes u only on its zero set z, so u
+    is composed only with the distinct nonzero restrictions of the
+    cocircuits to z, computed once per zero set."""
     if m.n > MAX_CHECK_N and not allow_large:
         raise SizeGuardError(
             f"covector closure on {m.n} elements; pass allow_large to force"
         )
-    ccs = cocircuits(m)
-    zero = (0,) * m.n
-    out = {zero} | ccs
+    ccs = {_mask(c) for c in cocircuits(m)}
+    full = (1 << m.n) - 1
+    restrictions = {}
+    out = {(0, 0)} | ccs
     frontier = list(ccs)
     while frontier:
-        u = frontier.pop()
-        for c in ccs:
-            w = compose(u, c)
+        p, q = frontier.pop()
+        z = full & ~(p | q)
+        parts = restrictions.get(z)
+        if parts is None:
+            parts = {(cp & z, cq & z) for cp, cq in ccs} - {(0, 0)}
+            restrictions[z] = parts
+        for cp, cq in parts:
+            w = (p | cp, q | cq)
             if w not in out:
                 out.add(w)
                 frontier.append(w)
-    return out
+    return {_vector(p, q, m.n) for p, q in out}
 
 
 def topes(m: SignMap, allow_large=False) -> set:
@@ -162,26 +186,26 @@ def face_census(m: SignMap, allow_large=False) -> FaceCensus:
     map that passed validation would be a bug, hence RuntimeError."""
     if m.rank != 3:
         raise ValueError("face census is defined for rank 3")
-    cvs = covectors(m, allow_large)
-    zero = (0,) * m.n
-    cells = sorted(cvs - {zero})
-    ccs = cocircuits(m)
+    cells = {_mask(v) for v in covectors(m, allow_large)}
+    cells.discard((0, 0))
+    ccs = {_mask(c) for c in cocircuits(m)}
+    full = (1 << m.n) - 1
 
-    def below(u, w):
-        return u != w and compose(u, w) == w
-
+    # u <= w iff u's signs are a subset of w's.  Cells are visited by
+    # growing support, so every cell below w already has its height.
     height = {}
-    for w in sorted(cells, key=lambda v: sum(1 for s in v if s)):
-        hs = [height[u] for u in cells if u in height and below(u, w)]
-        height[w] = (max(hs) + 1) if hs else 0
-    v = sum(1 for w in cells if height[w] == 0)
-    e = sum(1 for w in cells if height[w] == 1)
-    f = sum(1 for w in cells if height[w] == 2)
+    for wp, wq in sorted(cells, key=lambda c: (c[0] | c[1]).bit_count()):
+        hs = [h for (up, uq), h in height.items()
+              if not up & ~wp and not uq & ~wq]
+        height[wp, wq] = (max(hs) + 1) if hs else 0
+    v = sum(1 for h in height.values() if h == 0)
+    e = sum(1 for h in height.values() if h == 1)
+    f = sum(1 for h in height.values() if h == 2)
     if v + e + f != len(cells):
         raise RuntimeError("cell of height > 2 in a rank 3 arrangement")
-    if {w for w in cells if height[w] == 0} != ccs:
+    if {w for w, h in height.items() if h == 0} != ccs:
         raise RuntimeError("minimal cells are not exactly the cocircuits")
-    if any(height[w] == 2 and not all(w) for w in cells):
+    if any(h == 2 and w[0] | w[1] != full for w, h in height.items()):
         raise RuntimeError("a facet has a zero coordinate")
     census = FaceCensus(v, e, f)
     if census.euler != 2:

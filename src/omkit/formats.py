@@ -53,7 +53,6 @@ def parse_chi(text: str) -> SignMap:
     if n < rank:
         raise ParseError(f"n={n} is smaller than rank={rank}", line=header_no)
 
-    supports = list(itertools.combinations(range(1, n + 1), rank))
     body = []
     for line_no, line in lines[1:]:
         for col, ch in enumerate(line.strip(), start=1):
@@ -62,11 +61,15 @@ def parse_chi(text: str) -> SignMap:
                     f"unexpected character {ch!r}", line=line_no, column=col
                 )
             body.append(_CHAR_SIGN[ch])
-    if len(body) != len(supports):
+    # The body is bounded by the input's length, the header is not: compare
+    # before building one support per subset.
+    expected = math.comb(n, rank)
+    if len(body) != expected:
         raise ParseError(
-            f"body has {len(body)} signs, expected {len(supports)} "
+            f"body has {len(body)} signs, expected {expected} "
             f"(one per {rank}-subset of 1..{n})"
         )
+    supports = itertools.combinations(range(1, n + 1), rank)
     return SignMap(rank, n, dict(zip(supports, body)))
 
 

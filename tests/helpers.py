@@ -208,6 +208,61 @@ def literal_h2_h3_h4(x):
     return out
 
 
+# ------------------------------------------------------ literal covectors
+#
+# Read off the rows alone: cocircuits by cofactor determinants, then the
+# plain tuple closure and the height poset.  Calls nothing in omkit.faces.
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _compose(u, v):
+    return tuple(a if a else b for a, b in zip(u, v))
+
+
+def literal_cocircuits(rows):
+    """Both signs of (sign det(rows[B] + rows[e]))_e for every
+    (r-1)-subset B that gives a nonzero vector."""
+    n, r = len(rows), len(rows[0])
+    out = set()
+    for b in itertools.combinations(range(n), r - 1):
+        vec = tuple(
+            _sign(det_laplace([list(rows[i]) for i in b] + [list(rows[e])]))
+            for e in range(n)
+        )
+        if any(vec):
+            out.add(vec)
+            out.add(tuple(-v for v in vec))
+    return out
+
+
+def literal_covectors(rows):
+    ccs = literal_cocircuits(rows)
+    out = {(0,) * len(rows)} | ccs
+    frontier = list(ccs)
+    while frontier:
+        u = frontier.pop()
+        for c in ccs:
+            w = _compose(u, c)
+            if w not in out:
+                out.add(w)
+                frontier.append(w)
+    return out
+
+
+def literal_census(rows):
+    """(vertices, edges, facets) of a rank 3 configuration: the height of
+    each nonzero covector in the composition order, counted per height."""
+    cells = literal_covectors(rows) - {(0,) * len(rows)}
+    height = {}
+    for w in sorted(cells, key=lambda v: sum(1 for s in v if s)):
+        hs = [h for u, h in height.items() if _compose(u, w) == w]
+        height[w] = max(hs) + 1 if hs else 0
+    return tuple(sum(1 for h in height.values() if h == d) for d in (0, 1, 2))
+
+
 # ------------------------------------------------------ rank 2 by angles
 
 def angular_atoms(rows):

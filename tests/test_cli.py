@@ -1,10 +1,17 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from omkit import from_chirotope, from_vectors, serialize_chi, serialize_hls
+from omkit import (
+    enumerate_bodies,
+    from_chirotope,
+    from_vectors,
+    serialize_chi,
+    serialize_hls,
+)
 
 FRAME4_CHI = serialize_chi(
     from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
@@ -105,8 +112,16 @@ class TestCheck:
         p.write_text(head + '{"rank":1,"elements":["1"]}' + "}]}" * depth)
         res = run_om("check", str(p))
         assert res.returncode == 2
-        assert "error: sequence is nested too deeply" in res.stderr
+        assert res.stderr.startswith("error: sequence is nested too deeply")
         assert "Traceback" not in res.stderr
+
+    def test_huge_header(self, tmp_path):
+        p = tmp_path / "huge.chi"
+        p.write_text("2 100000\n+\n")
+        res = run_om("check", str(p))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "expected 4999950000" in res.stderr
 
 
 class TestConvert:
@@ -234,6 +249,39 @@ class TestEnumerate:
         parallel = run_om("enumerate", "4", "2", "--bodies", "--jobs", "3")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records the size asked for and maps serially, so no
+        # worker process is started
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = enumerate_bodies(3, 2, want_bodies=True)
+        assert enumerate_bodies(3, 2, jobs=100000, want_bodies=True) == serial
+        assert asked == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert enumerate_bodies(3, 2, jobs=100000, want_bodies=True) == serial
+        assert asked == [3]
+
+    def test_import_leaves_cli_unloaded(self):
+        code = "import sys, omkit; print('omkit.cli' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.stdout == "False\n"
 
     def test_bad_sizes(self):
         assert run_om("enumerate", "2", "3").returncode == 2

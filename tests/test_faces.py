@@ -1,8 +1,13 @@
 import random
+from math import comb
 
 import pytest
 
-from helpers import random_fullrank_rows
+from helpers import (
+    literal_census,
+    literal_covectors,
+    random_fullrank_rows,
+)
 from omkit import (
     ArrangementError,
     ArrangementR1,
@@ -14,7 +19,7 @@ from omkit import (
     SizeGuardError,
     VectorConfig,
     canonical_arrangement,
-    classify_arrangement_full,
+    classify_full,
     cocircuits,
     compose,
     contract,
@@ -150,6 +155,51 @@ class TestCensus:
         assert c.euler == 2
 
 
+def _closure_configs(rng):
+    """Seeded rows at rank 2..5, n <= 8: random ones with small entries,
+    and ones with an extra row dependent on two others or parallel (or
+    antiparallel) to one."""
+    for r in (2, 3, 4, 5):
+        for kind in ("random", "random", "dependent", "parallel"):
+            n = rng.randint(r + 1, 8)
+            if kind == "random":
+                yield kind, random_fullrank_rows(rng, n, r, bound=rng.choice((1, 3)))
+                continue
+            rows = random_fullrank_rows(rng, n - 1, r, bound=3)
+            i, j = rng.sample(range(n - 1), 2)
+            if kind == "dependent":
+                extra = tuple(a + b for a, b in zip(rows[i], rows[j]))
+                if not any(extra):
+                    extra = tuple(a - b for a, b in zip(rows[i], rows[j]))
+            else:
+                k = rng.choice((-2, -1, 2, 3))
+                extra = tuple(k * a for a in rows[i])
+            rows.insert(rng.randrange(n), extra)
+            yield kind, rows
+
+
+class TestLiteralClosure:
+    def test_matches_literal_closure(self):
+        seen = set()
+        for kind, rows in _closure_configs(random.Random(20261018)):
+            m = from_vectors(rows)
+            expected = literal_covectors(rows)
+            assert covectors(m) == expected, rows
+            assert topes(m) == {v for v in expected if all(v)}, rows
+            if m.rank == 3:
+                c = face_census(m)
+                assert (c.vertices, c.edges, c.facets) == literal_census(rows), rows
+            seen.add((m.rank, kind))
+        assert len(seen) == 12
+
+    def test_uniform_rank5_tope_count(self):
+        # n hyperplanes in general position in rank r cut 2 * sum_{i<r}
+        # C(n-1, i) topes
+        rows = [tuple(t ** k for k in range(5)) for t in range(1, 10)]
+        count = len(topes(from_vectors(rows)))
+        assert count == 2 * sum(comb(8, i) for i in range(5)) == 326
+
+
 class TestFeasibility:
     def test_frame4(self):
         v = VectorConfig(FRAME4)
@@ -272,8 +322,8 @@ class TestCanonical:
         for d in (0, 1, 2, 3):
             plus = canonical_arrangement(d, 1)
             minus = canonical_arrangement(d, -1)
-            assert classify_arrangement_full(plus) is OrientationClass.PLUS
-            assert classify_arrangement_full(minus) is OrientationClass.MINUS
+            assert classify_full(plus) is OrientationClass.PLUS
+            assert classify_full(minus) is OrientationClass.MINUS
             assert plus.rank == d + 1 and plus.n == d + 1
 
     def test_census(self):

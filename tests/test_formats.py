@@ -61,6 +61,12 @@ class TestChi:
             parse_chi("2 3\n++\n")
         assert "expected 3" in str(exc.value)
 
+    def test_huge_header_refused_before_allocation(self):
+        # C(100000, 2) supports would exhaust memory if built first
+        with pytest.raises(ParseError) as exc:
+            parse_chi("2 100000\n+\n")
+        assert "expected 4999950000" in str(exc.value)
+
     def test_serialize_is_canonical(self):
         m = SignMap(2, 3, {(1, 3): -1})
         assert serialize_chi(m) == "2 3\n0-0\n"
