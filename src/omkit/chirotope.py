@@ -8,8 +8,13 @@ tuple through the canonical simplex form, which builds the alternation in.
 The C4 scan quantifies over all signed (r+2)-tuples.  Since the three
 products compared share their first r-2 entries, the scan iterates over
 ascending unsigned prefixes only (any other prefix gives the same products
-up to a squared sign) and handles the remaining four slots with an exact
-int8 table, so no float ever enters a sign decision.
+up to a squared sign).  For each prefix, pair_table reads the values on
+prefix + (a, b) into an int table, and each 4-subset a < b < c < d of the
+remaining elements is tested once: it violates the three-term
+Grassmann-Pluecker condition when [ab][cd], -[ac][bd] and [ad][bc] have
+one sign wherever nonzero and are not all zero.  Signs of the four slots
+only scale all three products by their product, so the signed witness is
+recovered from the unsigned one.
 
 enumerate_bodies counts, by brute force, the sign maps that pass the check.
 """
@@ -22,9 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-import numpy as np
-
-from .core import normalize, signed_elements
+from .core import normalize
 from .errors import (
     ContractionError,
     DeletionError,
@@ -180,50 +183,76 @@ def _c1_missing(m):
 
 def _c3_violation(m):
     # One exchange candidate per dropped element suffices: the condition
-    # only sees the unsigned support of each tuple.
+    # only sees the unsigned support of each tuple.  completes[rest] has a
+    # bit for each u making rest + {u} a nonzero basis; first_miss gives,
+    # per distinct mask, the index of the first t it misses.
     nz = sorted(m.nonzero_supports())
-    vals = m._values
+    completes = {}
     for s in nz:
-        sset = set(s)
-        for t in nz:
-            for x in s:
-                rest = sset - {x}
-                found = False
-                for u in t:
-                    if u in rest:
-                        continue
-                    if vals[tuple(sorted(rest | {u}))]:
-                        found = True
-                        break
-                if not found:
-                    return (s, x, t)
+        for i, x in enumerate(s):
+            rest = s[:i] + s[i + 1:]
+            completes[rest] = completes.get(rest, 0) | 1 << x
+    bits = [sum(1 << u for u in t) for t in nz]
+    first_miss = {mask: next((j for j, b in enumerate(bits) if not mask & b), len(nz))
+                  for mask in set(completes.values())}
+    for s in nz:
+        j, x = min((first_miss[completes[s[:i] + s[i + 1:]]], x)
+                   for i, x in enumerate(s))
+        if j < len(nz):
+            return (s, x, nz[j])
     return None
 
 
+def pair_table(m, prefix):
+    """g[a][b] = m.evaluate(prefix + (a, b)) for elements a, b of 1..n,
+    read straight from the stored values.  prefix is ascending; a signed
+    pair has value sign(a) * sign(b) * g[|a|][|b|]."""
+    n, vals = m.n, m._values
+    above = [sum(p > e for p in prefix) for e in range(n + 1)]
+    free = [e for e in range(1, n + 1) if e not in prefix]
+    g = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, a in enumerate(free):
+        for b in free[i + 1:]:
+            v = vals[tuple(sorted(prefix + (a, b)))]
+            if (above[a] + above[b]) & 1:
+                v = -v
+            g[a][b] = v
+            g[b][a] = -v
+    return g
+
+
 def _c4_violation(m):
-    r, n = m.rank, m.n
+    r = m.rank
     if r < 2:
         return None
-    se = signed_elements(n)
-    n2 = 2 * n
-    bar = np.arange(n2) ^ 1
-
     extendable = set()
     for s in m.nonzero_supports():
         extendable.update(itertools.combinations(s, r - 2))
     for prefix in sorted(extendable):
-        f = np.zeros((n2, n2), dtype=np.int8)
-        for i, a in enumerate(se):
-            for j, b in enumerate(se):
-                f[i, j] = m.evaluate(prefix + (a, b))
-        # slots (a, b, c, d) = (x_{r-1}, x_r, y_1, y_2)
-        p1 = f.T[None, :, :, None] * f[:, None, None, :]        # f(c,b) * f(a,d)
-        p2 = f.T[None, :, None, :] * f[:, bar][:, None, :, None]  # f(d,b) * f(a,~c)
-        cc = f[:, :, None, None] * f[None, None, :, :]          # f(a,b) * f(c,d)
-        viol = (p1 >= 0) & (p2 >= 0) & (cc < 0)
-        if viol.any():
-            a, b, c, d = np.unravel_index(int(np.argmax(viol)), viol.shape)
-            return prefix + (se[a], se[b], se[c], se[d])
+        g = pair_table(m, prefix)
+        free = [e for e in range(1, m.n + 1) if e not in prefix]
+        for a, b, c, d in itertools.combinations(free, 4):
+            t1 = g[a][b] * g[c][d]
+            t2 = -g[a][c] * g[b][d]
+            t3 = g[a][d] * g[b][c]
+            # one sign wherever nonzero, and not all zero
+            if 0 < abs(t1 + t2 + t3) == abs(t1) + abs(t2) + abs(t3):
+                return _first_c4_witness(g, prefix, free)
+    return None
+
+
+def _first_c4_witness(g, prefix, free):
+    """First violating signed tuple prefix + (a, b, c, d), slots ordered
+    1 < -1 < 2 < -2 ...: a signed tuple violates when f(a,b) f(c,d) < 0
+    while f(c,b) f(a,d) >= 0 and f(d,b) f(a,-c) >= 0.  The slot signs scale
+    all three by their product, so the first witness has a, b and c
+    positive, the first ordered quadruple with [ab][cd] nonzero and
+    neither -[ac][bd] nor [ad][bc] of the opposite sign, and d signed to
+    make f(a,b) f(c,d) < 0."""
+    for a, b, c, d in itertools.permutations(free, 4):
+        t1 = g[a][b] * g[c][d]
+        if t1 and t1 * g[a][c] * g[b][d] <= 0 and t1 * g[a][d] * g[b][c] >= 0:
+            return prefix + (a, b, c, -t1 * d)
     return None
 
 
@@ -301,43 +330,18 @@ def det_sign(matrix) -> int:
     return sign * (1 if last > 0 else -1 if last < 0 else 0)
 
 
-def _exact_rank(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == cols:
-            break
-    return rank
-
-
 def from_vectors(vectors, labels=None) -> SignMap:
     """Chirotope of a rational vector configuration: the value on each
     ascending r-subset is the exact determinant sign of those rows."""
     cfg = vectors if isinstance(vectors, VectorConfig) else VectorConfig(vectors)
     rows = cfg.cleared_rows()
     r, n = cfg.r, cfg.n
-    if n < r or _exact_rank(rows) < r:
-        raise RealizationError(f"rows do not span rank {r}")
     values = {}
     for sup in itertools.combinations(range(1, n + 1), r):
         values[sup] = det_sign([rows[e - 1] for e in sup])
+    # the rows span rank r exactly when some r of them are independent
+    if not any(values.values()):
+        raise RealizationError(f"rows do not span rank {r}")
     return SignMap(r, n, values, labels)
 
 

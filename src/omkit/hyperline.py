@@ -18,8 +18,8 @@ import itertools
 from typing import NamedTuple
 
 from . import chirotope
-from .chirotope import SignMap, guard_check_size
-from .core import normalize, signed_sort_key
+from .chirotope import SignMap, guard_check_size, pair_table
+from .core import signed_elements, signed_sort_key
 from .errors import ConstructionError, DeletionError, ValidationReport
 
 
@@ -549,26 +549,22 @@ def _from_internal(m, rep):
     if r == 2:
         return HLRank2(_rank2_atoms(m, rep))
 
-    nz = m.nonzero_supports()
-    if not nz:
-        raise ConstructionError("no nonzero basis")
     extendable = set()
-    for s in nz:
+    for s in m.nonzero_supports():
         extendable.update(itertools.combinations(s, r - 2))
     hyperlines = set()
     full = set(range(1, m.n + 1))
     for prefix in sorted(extendable):
-        on_z = set()
-        for s in nz:
-            if set(prefix) <= set(s):
-                on_z.update(set(s) - set(prefix))
+        g = pair_table(m, prefix)
+        # the elements off the hyperline: those completing prefix to a basis
+        on_z = {a for a in full if any(g[a])}
         ec = sorted(on_z)
         cvals = {}
         for i, j in itertools.combinations(range(1, len(ec) + 1), 2):
-            cvals[(i, j)] = m.evaluate(prefix + (ec[i - 1], ec[j - 1]))
+            cvals[(i, j)] = g[ec[i - 1]][ec[j - 1]]
         z = from_chirotope(SignMap(2, len(ec), cvals, ec), rep)
 
-        z0 = _first_positive_pair(m, prefix, ec)
+        z0 = _first_positive_pair(g, prefix, ec)
         eb = sorted(full - on_z)
         bvals = {}
         for sup in itertools.combinations(range(1, len(eb) + 1), r - 2):
@@ -582,17 +578,17 @@ def _from_internal(m, rep):
     return HLHigher(r, hyperlines)
 
 
-def _first_positive_pair(m, prefix, candidates):
-    signed = []
-    for e in candidates:
-        signed.append(e)
-        signed.append(-e)
-    signed.sort(key=signed_sort_key)
+def _signed_value(g, a, b):
+    """Value of a signed pair from a pair_table."""
+    v = g[abs(a)][abs(b)]
+    return v if (a > 0) == (b > 0) else -v
+
+
+def _first_positive_pair(g, prefix, candidates):
+    signed = [x for e in candidates for x in (e, -e)]
     for a in signed:
         for b in signed:
-            if abs(a) == abs(b):
-                continue
-            if m.evaluate(prefix + (a, b)) == 1:
+            if _signed_value(g, a, b) == 1:
                 return (a, b)
     raise ConstructionError(f"prefix {prefix} has no positive completion")
 
@@ -600,14 +596,13 @@ def _first_positive_pair(m, prefix, candidates):
 def _rank2_atoms(m, rep):
     if rep not in ("smallest", "largest"):
         raise ValueError("representative must be 'smallest' or 'largest'")
-    signed = []
-    for e in range(1, m.n + 1):
-        signed.append(e)
-        signed.append(-e)
+    signed = signed_elements(m.n)
+    g = pair_table(m, ())
     tab = {}
-    for a in signed:
-        for b in signed:
-            tab[(a, b)] = m.evaluate((a, b))
+    for a in range(1, m.n + 1):
+        for b in range(1, m.n + 1):
+            tab[(a, b)] = tab[(-a, -b)] = g[a][b]
+            tab[(a, -b)] = tab[(-a, b)] = -g[a][b]
 
     def atom(pivot):
         plus = [y for y in signed if tab[(pivot, y)] == 1]

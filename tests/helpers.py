@@ -76,6 +76,42 @@ def literal_axiom_check(m):
     return literal_c1(m) and literal_c3(m) and literal_c4(m)
 
 
+def literal_c3_witness(m):
+    """First exchange failure (s, x, t): s and t over the sorted nonzero
+    supports, x over s, reading values only through m.evaluate."""
+    nz = sorted(m.nonzero_supports())
+    for s in nz:
+        for t in nz:
+            for x in s:
+                rest = tuple(e for e in s if e != x)
+                if not any(m.evaluate(rest + (u,)) for u in t):
+                    return (s, x, t)
+    return None
+
+
+def literal_c4_witness(m):
+    """First three-term failure prefix + (a, b, c, d): prefixes are the
+    sorted (r-2)-subsets of nonzero supports, the slots run over signed
+    elements in the order 1 < -1 < 2 < -2 < ...  Values are read only
+    through m.evaluate."""
+    r = m.rank
+    if r < 2:
+        return None
+    se = _signed(m.n)
+    prefixes = sorted({p for s in m.nonzero_supports()
+                       for p in itertools.combinations(s, r - 2)})
+    for prefix in prefixes:
+        f = {a: {b: m.evaluate(prefix + (a, b)) for b in se} for a in se}
+        for a, b in itertools.product(se, repeat=2):
+            if not f[a][b]:
+                continue  # f(a,b) f(c,d) < 0 fails for every c, d
+            for c, d in itertools.product(se, repeat=2):
+                if (f[a][b] * f[c][d] < 0 and f[c][b] * f[a][d] >= 0
+                        and f[d][b] * f[a][-c] >= 0):
+                    return prefix + (a, b, c, d)
+    return None
+
+
 # ----------------------------------------------- literal hyperline axioms
 #
 # These read a sequence only through its data (.rank, .chosen, .atoms,

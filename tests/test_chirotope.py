@@ -8,8 +8,11 @@ from helpers import (
     det_laplace,
     literal_axiom_check,
     literal_c3,
+    literal_c3_witness,
     literal_c4,
+    literal_c4_witness,
     quotient_coords,
+    random_fullrank_rows,
     random_signmap,
     relabel_signmap,
 )
@@ -160,6 +163,32 @@ class TestCheck:
             m = random_signmap(rng, 4, 3)
             assert check_chirotope(m).ok == literal_axiom_check(m)
 
+    def test_witnesses_match_literal_scans(self):
+        # realizable maps, realizable maps with 1-3 values changed, and
+        # random maps; the check must report the literal scans' first
+        # C3 and C4 witnesses
+        rng = random.Random(4242)
+        seen = {"C3": 0, "C4": 0}
+        for i in range(300):
+            r = rng.randint(2, 5)
+            n = rng.randint(r, 7)
+            if i % 3 == 2:
+                m = random_signmap(rng, n, r)
+            else:
+                bound = rng.choice((1, 2, 5))
+                m = from_vectors(random_fullrank_rows(rng, n, r, bound))
+                if i % 3 == 1:
+                    vals = dict(m.items())
+                    for s in rng.sample(sorted(vals), rng.randint(1, min(3, len(vals)))):
+                        vals[s] = rng.choice([v for v in (-1, 0, 1) if v != vals[s]])
+                    m = SignMap(r, n, vals)
+            found = {v.axiom: v.witness for v in check_chirotope(m).violations}
+            assert found.get("C3") == literal_c3_witness(m), dict(m.items())
+            assert found.get("C4") == literal_c4_witness(m), dict(m.items())
+            for axiom in seen:
+                seen[axiom] += axiom in found
+        assert min(seen.values()) >= 20, seen
+
     def test_single_basis_maps(self):
         # n = r: the only requirement is a nonzero value
         for r in (1, 2, 3, 4):
@@ -208,9 +237,11 @@ class TestRealization:
             VectorConfig([(1, 0), (0, 0)])
 
     def test_rank_deficient(self):
-        with pytest.raises(RealizationError):
+        # every 2x2 determinant is zero: the rows lie on one line
+        with pytest.raises(RealizationError, match=r"^rows do not span rank 2$"):
             from_vectors([(1, 0), (2, 0), (-1, 0)])
-        with pytest.raises(RealizationError):
+        # fewer rows than columns
+        with pytest.raises(RealizationError, match=r"^rows do not span rank 3$"):
             from_vectors([(1, 0, 0), (0, 1, 0)])
 
     def test_ragged_rejected(self):

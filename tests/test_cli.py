@@ -82,6 +82,11 @@ class TestCheck:
         res = run_om("check", "-", "--format", "vec", stdin="1,0\n0,1\n")
         assert res.returncode == 0
 
+    def test_rank_deficient_vec(self):
+        res = run_om("check", "-", "--format", "vec", stdin="1,0\n2,0\n-1,0\n")
+        assert res.returncode == 1
+        assert res.stderr == "error: rows do not span rank 2\n"
+
     def test_size_guard_and_override(self):
         big = serialize_chi(from_vectors([(1, k) for k in range(10)]))
         res = run_om("check", "-", stdin=big)
@@ -291,6 +296,29 @@ class TestEnumerate:
         res = run_om("enumerate", "7", "3")
         assert res.returncode == 1
         assert "guard" in res.stderr
+
+
+class TestImports:
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, omkit; print('numpy' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.stdout == "False\n"
+
+    def test_check_leaves_numpy_unloaded(self, frame4):
+        # the same steps as `python -m omkit check FILE`, then a look at
+        # what the run imported
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['omkit', 'check', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('omkit', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, 'numpy' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code, frame4],
+                             capture_output=True, text=True)
+        assert res.stdout == "ok\n0 False\n"
 
 
 class TestRender:
