@@ -18,16 +18,11 @@ from .chirotope import (
     delete,
     det_sign,
     enumerate_bodies,
-    evaluate,
     find_deletable,
     from_vectors,
-    negate,
 )
 from .core import (
     CanonicalBasis,
-    GroundSet,
-    enumerate_simplices,
-    involute,
     normalize,
     signed_elements,
     signed_sort_key,
@@ -79,7 +74,6 @@ from .hyperline import (
     bases,
     check_hyperline,
     from_chirotope,
-    hls_equal,
     minor_hls,
     negate_hls,
     relabel_hls,

@@ -1,5 +1,9 @@
 """Chirotopes as total sign maps on ascending rank-subsets.
 
+A SignMap stores its signs as one flat list in lexicographic subset order,
+which is the order of a .chi body, so parsing, serializing, realization,
+minors and enumeration all build or read that list directly.
+
 check_chirotope verifies the alternating-map axioms directly: C1 (every
 element in a nonzero basis), C3 (basis exchange), and C4 (three-term sign
 consistency).  C2 never needs checking because evaluation routes every
@@ -21,6 +25,7 @@ enumerate_bodies counts, by brute force, the sign maps that pass the check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from enum import Enum
@@ -50,12 +55,15 @@ class OrientationClass(Enum):
 class SignMap:
     """Total assignment of {-1, 0, +1} to the ascending r-subsets of 1..n.
 
+    The signs are stored as one flat list in lexicographic subset order,
+    the order of a .chi body; `values` is either that list (taken over,
+    not copied) or a {subset: sign} mapping, where absent subsets are 0.
     Storage always uses compacted ids 1..n; `labels` remembers the original
     ids so minors stay traceable in reports.  Instances are treated as
     immutable.  Equality compares rank, n, and values (labels are metadata).
     """
 
-    __slots__ = ("rank", "n", "_values", "labels")
+    __slots__ = ("rank", "n", "_signs", "labels")
 
     def __init__(self, rank, n, values=None, labels=None):
         if rank < 1:
@@ -64,32 +72,39 @@ class SignMap:
             raise ValueError("ground set needs at least one element")
         self.rank = int(rank)
         self.n = int(n)
-        full = {s: 0 for s in itertools.combinations(range(1, n + 1), rank)}
-        if values:
-            for key, v in values.items():
+        subsets, position = _layout(self.n, self.rank)
+        if not isinstance(values, list):
+            signs = [0] * len(subsets)
+            for key, v in (values or {}).items():
                 key = tuple(int(e) for e in key)
-                if key not in full:
+                if key not in position:
                     raise ValueError(f"not an ascending {rank}-subset of 1..{n}: {key}")
-                if v not in (-1, 0, 1):
-                    raise ValueError(f"sign value out of range at {key}: {v}")
-                full[key] = int(v)
-        self._values = full
+                signs[position[key]] = v
+            values = signs
+        if len(values) != len(subsets):
+            raise ValueError(f"expected {len(subsets)} signs, one per "
+                             f"{rank}-subset of 1..{n}, got {len(values)}")
+        bad = next((v for v in values if v not in (-1, 0, 1)), None)
+        if bad is not None:
+            raise ValueError(f"sign value out of range: {bad}")
+        self._signs = values
         self.labels = tuple(labels) if labels is not None else tuple(range(1, n + 1))
         if len(self.labels) != n:
             raise ValueError("labels must name every element")
 
     def supports(self):
-        return iter(self._values)
+        return iter(_layout(self.n, self.rank)[0])
 
     def nonzero_supports(self):
-        return [s for s, v in self._values.items() if v]
+        return [s for s, v in zip(_layout(self.n, self.rank)[0], self._signs) if v]
 
     def items(self):
-        return self._values.items()
+        """(support, sign) pairs in lexicographic support order."""
+        return list(zip(_layout(self.n, self.rank)[0], self._signs))
 
     def value(self, support):
         """Raw stored value on an ascending support tuple."""
-        return self._values[tuple(support)]
+        return self._signs[_layout(self.n, self.rank)[1][tuple(support)]]
 
     def evaluate(self, simplex):
         """Sign of an arbitrary signed r-tuple; degenerate tuples give 0."""
@@ -100,17 +115,24 @@ class SignMap:
         if nb is None:
             return 0
         try:
-            v = self._values[nb.support]
+            i = _layout(self.n, self.rank)[1][nb.support]
         except KeyError:
             raise ValueError(f"element out of range in {simplex}") from None
-        return nb.sign * v
+        return nb.sign * self._signs[i]
 
     def negate(self):
-        vals = {s: -v for s, v in self._values.items() if v}
-        return SignMap(self.rank, self.n, vals, self.labels)
+        return SignMap(self.rank, self.n, [-v for v in self._signs], self.labels)
 
     def label_of(self, e):
         return self.labels[e - 1]
+
+    def ids(self, labels):
+        """Internal ids of a sequence of labels, in the order given."""
+        index = {lab: i for i, lab in enumerate(self.labels, 1)}
+        missing = [e for e in labels if e not in index]
+        if missing:
+            raise ValueError(f"elements not in the ground set: {missing}")
+        return [index[e] for e in labels]
 
     def __eq__(self, other):
         if not isinstance(other, SignMap):
@@ -118,24 +140,20 @@ class SignMap:
         return (
             self.rank == other.rank
             and self.n == other.n
-            and self._values == other._values
+            and self._signs == other._signs
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self):
         nz = len(self.nonzero_supports())
         return f"SignMap(rank={self.rank}, n={self.n}, nonzero={nz})"
 
 
-def evaluate(m: SignMap, simplex):
-    return m.evaluate(simplex)
-
-
-def negate(m: SignMap) -> SignMap:
-    return m.negate()
+@functools.cache
+def _layout(n, r):
+    """The ascending r-subsets of 1..n in lexicographic order, and the
+    position of each in that order."""
+    subsets = tuple(itertools.combinations(range(1, n + 1), r))
+    return subsets, {s: i for i, s in enumerate(subsets)}
 
 
 # ---------------------------------------------------------------- checking
@@ -153,7 +171,7 @@ def check_chirotope(m: SignMap, allow_large=False) -> ValidationReport:
     """Check C1, C3, and C4; report one witness per violated axiom."""
     guard_check_size(m.n, m.rank, allow_large)
     report = ValidationReport()
-    missing = _c1_missing(m)
+    missing = uncovered(m)
     if missing:
         e = missing[0]
         report.add("C1", (m.label_of(e),),
@@ -174,7 +192,8 @@ def check_chirotope(m: SignMap, allow_large=False) -> ValidationReport:
     return report
 
 
-def _c1_missing(m):
+def uncovered(m):
+    """Elements in no nonzero basis, ascending: C1 fails on each."""
     covered = set()
     for s in m.nonzero_supports():
         covered.update(s)
@@ -207,13 +226,13 @@ def pair_table(m, prefix):
     """g[a][b] = m.evaluate(prefix + (a, b)) for elements a, b of 1..n,
     read straight from the stored values.  prefix is ascending; a signed
     pair has value sign(a) * sign(b) * g[|a|][|b|]."""
-    n, vals = m.n, m._values
+    n, signs, position = m.n, m._signs, _layout(m.n, m.rank)[1]
     above = [sum(p > e for p in prefix) for e in range(n + 1)]
     free = [e for e in range(1, n + 1) if e not in prefix]
     g = [[0] * (n + 1) for _ in range(n + 1)]
     for i, a in enumerate(free):
         for b in free[i + 1:]:
-            v = vals[tuple(sorted(prefix + (a, b)))]
+            v = signs[position[tuple(sorted(prefix + (a, b)))]]
             if (above[a] + above[b]) & 1:
                 v = -v
             g[a][b] = v
@@ -221,14 +240,19 @@ def pair_table(m, prefix):
     return g
 
 
-def _c4_violation(m):
-    r = m.rank
-    if r < 2:
-        return None
-    extendable = set()
+def extendable_prefixes(m):
+    """The (r-2)-subsets of nonzero bases, sorted: the prefixes C4 is
+    checked at and the hyperlines of the sequence lie on."""
+    out = set()
     for s in m.nonzero_supports():
-        extendable.update(itertools.combinations(s, r - 2))
-    for prefix in sorted(extendable):
+        out.update(itertools.combinations(s, m.rank - 2))
+    return sorted(out)
+
+
+def _c4_violation(m):
+    if m.rank < 2:
+        return None
+    for prefix in extendable_prefixes(m):
         g = pair_table(m, prefix)
         free = [e for e in range(1, m.n + 1) if e not in prefix]
         for a, b, c, d in itertools.combinations(free, 4):
@@ -336,13 +360,12 @@ def from_vectors(vectors, labels=None) -> SignMap:
     cfg = vectors if isinstance(vectors, VectorConfig) else VectorConfig(vectors)
     rows = cfg.cleared_rows()
     r, n = cfg.r, cfg.n
-    values = {}
-    for sup in itertools.combinations(range(1, n + 1), r):
-        values[sup] = det_sign([rows[e - 1] for e in sup])
+    signs = [det_sign([rows[e - 1] for e in sup])
+             for sup in itertools.combinations(range(1, n + 1), r)]
     # the rows span rank r exactly when some r of them are independent
-    if not any(values.values()):
+    if not any(signs):
         raise RealizationError(f"rows do not span rank {r}")
-    return SignMap(r, n, values, labels)
+    return SignMap(r, n, signs, labels)
 
 
 # ------------------------------------------------------------------ minors
@@ -360,11 +383,8 @@ def delete(m: SignMap, drop, allow_large=False):
         raise DeletionError(
             f"deleting {sorted(drop)} leaves {len(keep)} elements, fewer than rank {m.rank}"
         )
-    old_of_new = {i + 1: e for i, e in enumerate(keep)}
-    values = {}
-    for sup in itertools.combinations(range(1, len(keep) + 1), m.rank):
-        values[sup] = m.value(tuple(old_of_new[i] for i in sup))
-    sub = SignMap(m.rank, len(keep), values, tuple(m.label_of(e) for e in keep))
+    signs = [m.value(sup) for sup in itertools.combinations(keep, m.rank)]
+    sub = SignMap(m.rank, len(keep), signs, tuple(m.label_of(e) for e in keep))
     return sub, check_chirotope(sub, allow_large)
 
 
@@ -403,13 +423,10 @@ def contract(m: SignMap, fixed) -> SignMap:
     if not ground:
         raise ContractionError(f"no nonzero basis contains {fixed}")
     keep = sorted(ground)
-    old_of_new = {i + 1: e for i, e in enumerate(keep)}
     k = len(fixed)
-    values = {}
-    for sup in itertools.combinations(range(1, len(keep) + 1), m.rank - k):
-        orig = tuple(old_of_new[i] for i in sup)
-        values[sup] = m.evaluate(fixed + orig)
-    return SignMap(m.rank - k, len(keep), values, tuple(m.label_of(e) for e in keep))
+    signs = [m.evaluate(fixed + sup)
+             for sup in itertools.combinations(keep, m.rank - k)]
+    return SignMap(m.rank - k, len(keep), signs, tuple(m.label_of(e) for e in keep))
 
 
 def classify_full(m: SignMap) -> OrientationClass:
@@ -436,14 +453,12 @@ def _enum_chunk(task):
     n, r, uniform, lo, hi, want_bodies = task
     alphabet = "-+" if uniform else "-0+"
     signs = {"-": -1, "0": 0, "+": 1}
-    supports = list(itertools.combinations(range(1, n + 1), r))
-    width = len(supports)
+    width = comb(n, r)
     count = 0
     bodies = []
     for i in range(lo, hi):
         body = _body_at(i, width, alphabet)
-        values = dict(zip(supports, (signs[c] for c in body)))
-        m = SignMap(r, n, values)
+        m = SignMap(r, n, [signs[c] for c in body])
         if check_chirotope(m, allow_large=True).ok:
             count += 1
             if want_bodies:

@@ -19,6 +19,7 @@ from .chirotope import (
     enumerate_bodies,
     find_deletable,
     from_vectors,
+    guard_check_size,
 )
 from .errors import OmError, ParseError
 from .faces import face_census, topes
@@ -66,13 +67,15 @@ def _sniff(text: str) -> str:
 
 
 def _load(text, fmt):
-    """Parse input into ('chi'|'hls', object).  Vector input realizes
-    immediately; its chirotope needs no further checking."""
+    """Parse input into ('chi'|'hls', object).  Vector input is size
+    guarded, then realized."""
     fmt = fmt or _sniff(text)
     if fmt == "hls":
         return "hls", parse_hls(text)
     if fmt == "vec":
-        return "chi", from_vectors(parse_vec(text))
+        cfg = parse_vec(text)
+        guard_check_size(cfg.n, cfg.r, _env_large())
+        return "chi", from_vectors(cfg)
     return "chi", parse_chi(text)
 
 
@@ -86,12 +89,14 @@ def _emit_id_map(m: SignMap):
         print(f"ids: {pairs}", file=sys.stderr)
 
 
-def _validated(kind, obj, allow_large):
+def _report(kind, obj):
+    check = check_hyperline if kind == "hls" else check_chirotope
+    return check(obj, _env_large())
+
+
+def _validated(kind, obj):
     """Check the object; on violations print the report and return None."""
-    if kind == "hls":
-        report = check_hyperline(obj, allow_large)
-    else:
-        report = check_chirotope(obj, allow_large)
+    report = _report(kind, obj)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
@@ -104,18 +109,14 @@ def _validated(kind, obj, allow_large):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_check(args):
-    kind, obj = _load(_read_text(args.file), args.format)
-    if kind == "hls":
-        report = check_hyperline(obj, _env_large())
-    else:
-        report = check_chirotope(obj, _env_large())
+    report = _report(*_load(_read_text(args.file), args.format))
     print(report)
     return 0 if report.ok else 1
 
 
 def _cmd_convert(args):
     kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj, _env_large()) is None:
+    if _validated(kind, obj) is None:
         return 1
     if args.to == "chi":
         m = _as_chirotope(kind, obj)
@@ -141,7 +142,7 @@ def _cmd_minor(args):
     if not args.delete and not args.contract:
         raise ParseError("nothing to do: pass --delete and/or --contract")
     kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj, _env_large()) is None:
+    if _validated(kind, obj) is None:
         return 1
     m = _as_chirotope(kind, obj)
     allow = _env_large()
@@ -152,12 +153,7 @@ def _cmd_minor(args):
             print(f"deleting element {m.label_of(e)}", file=sys.stderr)
             internal = [e]
         else:
-            wanted = _parse_id_list(args.delete)
-            inv = {lab: i + 1 for i, lab in enumerate(m.labels)}
-            missing = [e for e in wanted if e not in inv]
-            if missing:
-                raise ParseError(f"elements not in the ground set: {missing}")
-            internal = [inv[e] for e in wanted]
+            internal = m.ids(_parse_id_list(args.delete))
         m, report = delete(m, internal, allow)
         if not report.ok:
             print("deletion does not leave a chirotope:", file=sys.stderr)
@@ -166,12 +162,7 @@ def _cmd_minor(args):
             return 1
 
     if args.contract:
-        wanted = _parse_id_list(args.contract)
-        inv = {lab: i + 1 for i, lab in enumerate(m.labels)}
-        missing = [e for e in wanted if e not in inv]
-        if missing:
-            raise ParseError(f"elements not in the ground set: {missing}")
-        m = contract(m, [inv[e] for e in wanted])
+        m = contract(m, m.ids(_parse_id_list(args.contract)))
 
     if kind == "hls":
         _write_text(args.output, serialize_hls(from_chirotope(m)))
@@ -183,7 +174,7 @@ def _cmd_minor(args):
 
 def _cmd_faces(args):
     kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj, _env_large()) is None:
+    if _validated(kind, obj) is None:
         return 1
     m = _as_chirotope(kind, obj)
     if m.rank == 3:

@@ -1,4 +1,4 @@
-"""Ground sets, signed elements, and oriented simplices.
+"""Signed elements and oriented simplices.
 
 Signed elements are plain ints: +e is the element itself, -e its negated
 (barred) copy.  The fixed total order on signed elements is
@@ -12,16 +12,7 @@ to its canonical representative: ascending support plus a single sign.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
-
-
-def involute(x: int) -> int:
-    """Negated copy of a signed element; an involution."""
-    if x == 0:
-        raise ValueError("0 is not a signed element")
-    return -x
 
 
 def underlying(x: int) -> int:
@@ -36,33 +27,12 @@ def signed_sort_key(x: int):
     return (underlying(x), x < 0)
 
 
-def signed_elements(n: int) -> list[int]:
-    """All 2n signed elements of {1..n} in the fixed order."""
-    out = []
-    for e in range(1, n + 1):
-        out.append(e)
-        out.append(-e)
-    return out
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Finite ground set, elements identified with 1..n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground set needs at least one element")
-
-    def __iter__(self):
-        return iter(range(1, self.n + 1))
-
-    def __len__(self):
-        return self.n
-
-    def __contains__(self, e):
-        return isinstance(e, int) and 1 <= e <= self.n
+def signed_elements(elems) -> list[int]:
+    """Both signed copies of each element, each followed by its bar; an
+    int n stands for 1..n.  Ascending elements give the fixed order."""
+    if isinstance(elems, int):
+        elems = range(1, elems + 1)
+    return [x for e in elems for x in (e, -e)]
 
 
 class CanonicalBasis(NamedTuple):
@@ -102,17 +72,3 @@ def normalize(entries: Iterable[int]):
     if inv & 1:
         sign = -sign
     return CanonicalBasis(tuple(sorted(elems)), sign)
-
-
-def enumerate_simplices(ground, d: int):
-    """Ascending (d+1)-subsets of the ground set in lexicographic order.
-
-    Accepts a GroundSet or a plain n.  d = -1 yields the single empty
-    tuple; d+1 larger than n yields nothing.
-    """
-    n = ground.n if isinstance(ground, GroundSet) else int(ground)
-    if n < 1:
-        raise ValueError("ground set needs at least one element")
-    if d < -1:
-        raise ValueError("dimension below -1")
-    return itertools.combinations(range(1, n + 1), d + 1)

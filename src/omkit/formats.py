@@ -8,7 +8,6 @@ convert runs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -69,12 +68,11 @@ def parse_chi(text: str) -> SignMap:
             f"body has {len(body)} signs, expected {expected} "
             f"(one per {rank}-subset of 1..{n})"
         )
-    supports = itertools.combinations(range(1, n + 1), rank)
-    return SignMap(rank, n, dict(zip(supports, body)))
+    return SignMap(rank, n, body)
 
 
 def serialize_chi(m: SignMap) -> str:
-    body = "".join(_SIGN_CHAR[m.value(s)] for s in m.supports())
+    body = "".join(_SIGN_CHAR[v] for _, v in m.items())
     return f"{m.rank} {m.n}\n{body}\n"
 
 

@@ -18,7 +18,13 @@ import itertools
 from typing import NamedTuple
 
 from . import chirotope
-from .chirotope import SignMap, guard_check_size, pair_table
+from .chirotope import (
+    SignMap,
+    extendable_prefixes,
+    guard_check_size,
+    pair_table,
+    uncovered,
+)
 from .core import signed_elements, signed_sort_key
 from .errors import ConstructionError, DeletionError, ValidationReport
 
@@ -114,14 +120,6 @@ class HLHigher:
 
     def __repr__(self):
         return f"HLHigher(rank={self.rank}, hyperlines={len(self.hyperlines)})"
-
-
-def hls_equal(x1, x2) -> bool:
-    """Structural equality; rank 2 up to cyclic shift.  Rank mismatch is
-    False rather than an error."""
-    if getattr(x1, "rank", None) != getattr(x2, "rank", None):
-        return False
-    return x1 == x2
 
 
 def negate_hls(x):
@@ -302,9 +300,8 @@ def _check_rank2(x, report, path):
                    f"{at}a signed element appears in two atoms")
         ok = False
     elif len(pos) != 2 * len(x.ground):
-        missing = sorted(
-            s for e in x.ground for s in (e, -e) if s not in pos
-        )[:4]
+        missing = sorted(s for s in signed_elements(x.ground)
+                         if s not in pos)[:4]
         report.add("structure", (path,),
                    f"{at}atoms do not cover both signed copies "
                    f"of every element (missing {missing})")
@@ -529,47 +526,31 @@ def from_chirotope(m: SignMap, representative="smallest"):
 
 def _from_internal(m, rep):
     r = m.rank
-    covered = set()
-    for s in m.nonzero_supports():
-        covered.update(s)
-    for e in range(1, m.n + 1):
-        if e not in covered:
-            raise ConstructionError(
-                f"element {e} lies in no nonzero basis; "
-                "the sequence has nowhere to place it"
-            )
+    missing = uncovered(m)
+    if missing:
+        raise ConstructionError(
+            f"element {missing[0]} lies in no nonzero basis; "
+            "the sequence has nowhere to place it"
+        )
     if r == 1:
-        chosen = set()
-        for e in range(1, m.n + 1):
-            v = m.value((e,))
-            if v == 0:
-                raise ConstructionError(f"element {e} has no sign in rank 1")
-            chosen.add(e if v > 0 else -e)
-        return HLRank1(chosen)
+        return HLRank1(e * v for (e,), v in m.items())
     if r == 2:
         return HLRank2(_rank2_atoms(m, rep))
 
-    extendable = set()
-    for s in m.nonzero_supports():
-        extendable.update(itertools.combinations(s, r - 2))
     hyperlines = set()
     full = set(range(1, m.n + 1))
-    for prefix in sorted(extendable):
+    for prefix in extendable_prefixes(m):
         g = pair_table(m, prefix)
         # the elements off the hyperline: those completing prefix to a basis
         on_z = {a for a in full if any(g[a])}
         ec = sorted(on_z)
-        cvals = {}
-        for i, j in itertools.combinations(range(1, len(ec) + 1), 2):
-            cvals[(i, j)] = g[ec[i - 1]][ec[j - 1]]
+        cvals = [g[a][b] for a, b in itertools.combinations(ec, 2)]
         z = from_chirotope(SignMap(2, len(ec), cvals, ec), rep)
 
         z0 = _first_positive_pair(g, prefix, ec)
         eb = sorted(full - on_z)
-        bvals = {}
-        for sup in itertools.combinations(range(1, len(eb) + 1), r - 2):
-            orig = tuple(eb[i - 1] for i in sup)
-            bvals[sup] = m.evaluate(orig + z0)
+        bvals = [m.evaluate(sup + z0)
+                 for sup in itertools.combinations(eb, r - 2)]
         y = from_chirotope(SignMap(r - 2, len(eb), bvals, eb), rep)
 
         h = Hyperline(y, z)
@@ -585,7 +566,7 @@ def _signed_value(g, a, b):
 
 
 def _first_positive_pair(g, prefix, candidates):
-    signed = [x for e in candidates for x in (e, -e)]
+    signed = signed_elements(candidates)
     for a in signed:
         for b in signed:
             if _signed_value(g, a, b) == 1:
@@ -633,19 +614,11 @@ def minor_hls(x, delete=(), contract=()):
     a non-chirotope deletion is an error), then contract, then rebuild."""
     m = to_chirotope(x)
     if delete:
-        inv = {lab: i + 1 for i, lab in enumerate(m.labels)}
-        missing = [e for e in delete if e not in inv]
-        if missing:
-            raise ValueError(f"elements not in the ground set: {sorted(missing)}")
-        m, report = chirotope.delete(m, {inv[e] for e in delete})
+        m, report = chirotope.delete(m, m.ids(delete))
         if not report.ok:
             raise DeletionError(
                 "deletion does not leave a chirotope:\n" + str(report)
             )
     if contract:
-        inv = {lab: i + 1 for i, lab in enumerate(m.labels)}
-        missing = [e for e in contract if e not in inv]
-        if missing:
-            raise ValueError(f"elements not in the ground set: {sorted(missing)}")
-        m = chirotope.contract(m, [inv[e] for e in contract])
+        m = chirotope.contract(m, m.ids(contract))
     return from_chirotope(m)

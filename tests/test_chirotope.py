@@ -19,6 +19,7 @@ from helpers import (
 from omkit import (
     ContractionError,
     DeletionError,
+    HLRank2,
     NoDeletableElement,
     OrientationClass,
     RealizationError,
@@ -32,6 +33,8 @@ from omkit import (
     det_sign,
     find_deletable,
     from_vectors,
+    minor_hls,
+    parse_chi,
 )
 
 TRIANGLE = [(1, 0), (0, 1), (-1, 1)]
@@ -87,6 +90,36 @@ class TestSignMap:
         assert m == SignMap(2, 2, {(1, 2): 1})
         with pytest.raises(ValueError):
             SignMap(2, 2, {(1, 2): 1}, labels=(3,))
+
+
+class TestStorage:
+    def test_list_equals_dict(self):
+        signs = [1, 0, -1, 1, 1, 0]
+        m = SignMap(2, 4, signs)
+        supports = itertools.combinations(range(1, 5), 2)
+        assert m == SignMap(2, 4, dict(zip(supports, signs)))
+        assert m.value((1, 4)) == -1 and m.evaluate((4, 1)) == 1
+
+    def test_bad_list(self):
+        with pytest.raises(ValueError, match="expected 6 signs"):
+            SignMap(2, 4, [1, 0, -1, 1, 1])
+        with pytest.raises(ValueError, match="out of range: 2"):
+            SignMap(2, 4, [1, 0, -1, 1, 2, 0])
+
+    def test_items_in_chi_order(self):
+        body = "+0-+-0-+0+"
+        m = parse_chi(f"3 5\n{body}\n")
+        assert [s for s, _ in m.items()] == list(itertools.combinations(range(1, 6), 3))
+        assert "".join("-0+"[v + 1] for _, v in m.items()) == body
+
+    def test_ids_keep_order(self):
+        m = SignMap(2, 3, {(1, 2): 1}, labels=(4, 7, 2))
+        assert m.ids([2, 4, 7]) == [3, 1, 2]
+        with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9, 8\]$"):
+            m.ids([7, 9, 8])
+        for kw in ("delete", "contract"):
+            with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9, 8\]$"):
+                minor_hls(HLRank2([{1}, {2}, {-1}, {-2}]), **{kw: (9, 8)})
 
 
 class TestCheck:

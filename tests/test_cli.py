@@ -95,6 +95,25 @@ class TestCheck:
         res = run_om("check", "-", stdin=big, env_extra={"OM_SIZE_OVERRIDE": "1"})
         assert res.returncode == 0
 
+    def test_vec_guarded_before_realization(self, tmp_path, monkeypatch, capsys):
+        from omkit import cli
+
+        p = tmp_path / "big.vec"
+        p.write_text("".join(f"1,{k},{k * k}\n" for k in range(12)))
+        realize = cli.from_vectors
+
+        def refuse(cfg):
+            raise AssertionError("realized before the size guard")
+
+        monkeypatch.setattr(cli, "from_vectors", refuse)
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(["check", str(p)]) == 1
+        assert "guarded" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "from_vectors", realize)
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        assert cli.main(["check", str(p)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_hls_size_guard(self, tmp_path):
         p = tmp_path / "big.hls"
         p.write_text(serialize_hls(from_chirotope(
@@ -202,6 +221,12 @@ class TestMinor:
     def test_unknown_id(self, frame4):
         res = run_om("minor", frame4, "--delete", "9")
         assert res.returncode == 2
+
+    def test_unknown_ids_in_given_order(self, frame4):
+        for flag in ("--delete", "--contract"):
+            res = run_om("minor", frame4, flag, "9,1,8")
+            assert res.returncode == 2
+            assert res.stderr == "error: elements not in the ground set: [9, 8]\n"
 
     def test_hls_in_hls_out(self, frame4):
         hls = run_om("convert", frame4, "--to", "hls").stdout

@@ -1,26 +1,13 @@
-import itertools
-
 import pytest
 
 from helpers import equivalence_class, orbit_by_moves
 from omkit import (
     CanonicalBasis,
-    GroundSet,
-    enumerate_simplices,
-    involute,
     normalize,
     signed_elements,
     signed_sort_key,
     underlying,
 )
-
-
-def test_involute():
-    assert involute(3) == -3
-    assert involute(-3) == 3
-    assert involute(involute(7)) == 7
-    with pytest.raises(ValueError):
-        involute(0)
 
 
 def test_underlying():
@@ -33,15 +20,6 @@ def test_signed_order():
     ordered = sorted([2, -1, 1, -2, 3], key=signed_sort_key)
     assert ordered == [1, -1, 2, -2, 3]
     assert signed_elements(2) == [1, -1, 2, -2]
-
-
-def test_ground_set():
-    g = GroundSet(4)
-    assert list(g) == [1, 2, 3, 4]
-    assert len(g) == 4
-    assert 4 in g and 5 not in g and 0 not in g
-    with pytest.raises(ValueError):
-        GroundSet(0)
 
 
 class TestNormalize:
@@ -90,19 +68,3 @@ class TestNormalize:
         # r! * 2^(r-1) tuples share each canonical form
         assert len(equivalence_class((1, 2, 3))) == 24
 
-
-def test_enumerate_simplices():
-    assert list(enumerate_simplices(3, 1)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(enumerate_simplices(GroundSet(3), 2)) == [(1, 2, 3)]
-    assert list(enumerate_simplices(3, -1)) == [()]
-    assert list(enumerate_simplices(2, 2)) == []
-    with pytest.raises(ValueError):
-        list(enumerate_simplices(3, -2))
-
-
-def test_simplices_count():
-    n, d = 6, 2
-    sims = list(enumerate_simplices(n, d))
-    assert len(sims) == len(set(sims))
-    assert len(sims) == len(list(itertools.combinations(range(n), d + 1)))
-    assert sims == sorted(sims)

@@ -11,7 +11,6 @@ from omkit import (
     VectorConfig,
     from_chirotope,
     from_vectors,
-    hls_equal,
     parse_chi,
     parse_hls,
     parse_vec,
@@ -91,7 +90,7 @@ class TestHls:
         x = from_chirotope(m)
         text = serialize_hls(x)
         back = parse_hls(text)
-        assert hls_equal(back, x)
+        assert back == x
         assert serialize_hls(back) == text
         assert to_chirotope(back) == m
 
@@ -100,7 +99,7 @@ class TestHls:
                           (0, 0, 0, 1), (1, 1, 1, 1)])
         x = from_chirotope(m)
         back = parse_hls(serialize_hls(x))
-        assert hls_equal(back, x)
+        assert back == x
 
     def test_json_error_position(self):
         with pytest.raises(ParseError) as exc:
@@ -138,6 +137,14 @@ class TestHls:
         with pytest.raises(ParseError) as exc:
             parse_hls(text)
         assert "expected 1" in str(exc.value)
+
+    def test_z_rank_mismatch(self):
+        y = '{"rank": 1, "elements": ["1"]}'
+        z = '{"rank": 1, "elements": ["2"]}'
+        text = f'{{"rank": 3, "hyperlines": [{{"Y": {y}, "Z": {z}}}]}}'
+        with pytest.raises(ParseError) as exc:
+            parse_hls(text)
+        assert str(exc.value) == "$.hyperlines[0].Z: rank 1, expected 2"
 
     def test_serialization_order_is_stable(self):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])

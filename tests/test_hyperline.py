@@ -25,7 +25,6 @@ from omkit import (
     delete,
     from_chirotope,
     from_vectors,
-    hls_equal,
     minor_hls,
     negate_hls,
     relabel_hls,
@@ -58,16 +57,16 @@ class TestStructures:
     def test_rank2_shift_equality(self):
         a = HLRank2(HEXA)
         b = HLRank2(HEXA[2:] + HEXA[:2])
-        assert hls_equal(a, b)
+        assert a == b
         assert a == b and hash(a) == hash(b)
 
     def test_rank2_reflection_differs(self):
         a = HLRank2([{1}, {2}, {-1}, {-2}])
         b = HLRank2([{2}, {1}, {-2}, {-1}])
-        assert not hls_equal(a, b)
+        assert a != b
 
     def test_rank_mismatch_is_false(self):
-        assert not hls_equal(HLRank1({1}), HLRank2([{1}, {-1}]))
+        assert HLRank1({1}) != HLRank2([{1}, {-1}])
 
     def test_higher_needs_rank3(self):
         with pytest.raises(ValueError):
@@ -90,7 +89,7 @@ class TestNegation:
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         x = from_chirotope(m)
         assert to_chirotope(negate_hls(x)) == m.negate()
-        assert hls_equal(negate_hls(x), from_chirotope(m.negate()))
+        assert negate_hls(x) == from_chirotope(m.negate())
 
 
 class TestCheck:
@@ -221,6 +220,23 @@ class TestCheck:
             check_hyperline(x)
         assert check_hyperline(x, allow_large=True).ok
 
+    @pytest.mark.parametrize("x, messages", [
+        (HLRank1(set()), ["rank 1 sequence is empty"]),
+        (HLRank2([set(), {1}, set(), {-1}]), ["empty atom"]),
+        (HLHigher(3, []), ["no hyperlines"]),
+        (closed(4, hl({1}, [{2}, {3}, {-2}, {-3}])),
+         [f"hyperline[{i}]: Y has rank 1, expected 2" for i in (0, 1)]),
+        (closed(3, Hyperline(HLRank1({1}), HLRank1({2}))),
+         [f"hyperline[{i}]: Z is not a rank 2 sequence" for i in (0, 1)]),
+        # every Z has period 2, so no pair in it is positively oriented
+        (closed(3, hl({1}, [{2, 3}, {-2, -3}])), ["no positively oriented bases"]),
+    ], ids=["rank1-empty", "empty-atom", "no-hyperlines", "y-rank", "z-rank",
+            "no-positive-bases"])
+    def test_structure_branches(self, x, messages):
+        report = check_hyperline(x)
+        assert [(v.axiom, v.message) for v in report.violations] == \
+            [("structure", msg) for msg in messages]
+
     def test_rank2_component_errors_have_paths(self):
         x = closed(
             3,
@@ -274,7 +290,7 @@ class TestConversion:
     def test_rank2_triangle(self):
         m = from_vectors([(1, 0), (0, 1), (-1, 1)])
         x = from_chirotope(m)
-        assert hls_equal(x, HLRank2(HEXA))
+        assert x == HLRank2(HEXA)
         assert to_chirotope(x) == m
 
     def test_rank2_matches_angular_oracle(self):
@@ -287,9 +303,9 @@ class TestConversion:
     def test_representative_choice_is_immaterial(self, corpus):
         for n, r, rows in corpus[:50]:
             m = from_vectors(rows)
-            assert hls_equal(
-                from_chirotope(m, representative="smallest"),
-                from_chirotope(m, representative="largest"),
+            assert (
+                from_chirotope(m, representative="smallest")
+                == from_chirotope(m, representative="largest")
             )
 
     def test_bad_representative(self):
@@ -344,13 +360,13 @@ class TestConversion:
         assert m.n == 3
         back = from_chirotope(m)
         assert back.ground == {2, 5, 9}
-        assert hls_equal(back, x)
+        assert back == x
 
     def test_relabel(self):
         x = HLRank2(HEXA)
         y = relabel_hls(x, {1: 10, 2: 20, 3: 30})
         assert y.ground == {10, 20, 30}
-        assert hls_equal(relabel_hls(y, {10: 1, 20: 2, 30: 3}), x)
+        assert relabel_hls(y, {10: 1, 20: 2, 30: 3}) == x
 
 
 class TestMinorHls:
@@ -360,13 +376,13 @@ class TestMinorHls:
         y = minor_hls(x, delete=(4,))
         sub, report = delete(m, {4})
         assert report.ok
-        assert hls_equal(y, from_chirotope(sub))
+        assert y == from_chirotope(sub)
 
     def test_contract(self):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         x = from_chirotope(m)
         y = minor_hls(x, contract=(4,))
-        assert hls_equal(y, from_chirotope(contract(m, [4])))
+        assert y == from_chirotope(contract(m, [4]))
 
     def test_delete_then_contract(self):
         m = from_vectors(
@@ -375,7 +391,7 @@ class TestMinorHls:
         x = from_chirotope(m)
         y = minor_hls(x, delete=(5,), contract=(1,))
         sub, _ = delete(m, {5})
-        assert hls_equal(y, from_chirotope(contract(sub, [1])))
+        assert y == from_chirotope(contract(sub, [1]))
 
     def test_invalid_delete_raises(self):
         # removing both spanning elements of the plane breaks the result
