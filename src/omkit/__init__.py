@@ -47,7 +47,6 @@ from .faces import (
     FaceCensus,
     canonical_arrangement,
     cocircuits,
-    compose,
     covectors,
     face_census,
     fm_realizable_topes,
@@ -76,7 +75,6 @@ from .hyperline import (
     from_chirotope,
     minor_hls,
     negate_hls,
-    relabel_hls,
     to_chirotope,
 )
 

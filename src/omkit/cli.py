@@ -31,7 +31,7 @@ from .formats import (
     serialize_chi,
     serialize_hls,
 )
-from .hyperline import HLRank2, check_hyperline, from_chirotope, to_chirotope
+from .hyperline import check_hyperline, from_chirotope, to_chirotope
 
 
 def _env_large() -> bool:
@@ -194,13 +194,12 @@ def _cmd_faces(args):
 
 def _cmd_render(args):
     kind, obj = _load(_read_text(args.file), args.format)
-    if kind == "chi":
-        if obj.rank != 2:
-            raise ParseError(f"render needs rank 2, got rank {obj.rank}")
-        obj = from_chirotope(obj)
-    if not isinstance(obj, HLRank2):
+    if obj.rank != 2:
         raise ParseError(f"render needs rank 2, got rank {obj.rank}")
-    _write_text(args.output, render_rank2_svg(obj))
+    if _validated(kind, obj) is None:
+        return 1
+    x = from_chirotope(obj) if kind == "chi" else obj
+    _write_text(args.output, render_rank2_svg(x))
     return 0
 
 

@@ -7,7 +7,7 @@ Signed elements are plain ints: +e is the element itself, -e its negated
 An oriented simplex is a tuple of signed elements.  Two simplices are
 equivalent when one arises from the other by repeatedly swapping adjacent
 entries while negating the entry that moves left.  normalize() maps a tuple
-to its canonical representative: ascending support plus a single sign.
+to its canonical form: ascending support plus a single sign.
 """
 
 from __future__ import annotations

@@ -76,11 +76,9 @@ def read_rank1(arr: ArrangementR1):
 
 
 def represent_rank2(x) -> ArrangementR2:
-    pos = {}
-    for a, atom in enumerate(x.atoms):
-        for s in atom:
-            pos[s] = a
-    return ArrangementR2(len(x.atoms), pos)
+    if x.pos is None:
+        raise ArrangementError("a signed element sits in two atoms")
+    return ArrangementR2(x.period, dict(x.pos))
 
 
 def read_rank2(arr: ArrangementR2):
@@ -111,10 +109,6 @@ def cocircuits(m: SignMap) -> set:
         out.add(vec)
         out.add(tuple(-v for v in vec))
     return out
-
-
-def compose(u: tuple, v: tuple) -> tuple:
-    return tuple(a if a else b for a, b in zip(u, v))
 
 
 # The closure and the census work on sign vectors stored as (plus, minus)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chirotope import SignMap, VectorConfig
 from .core import signed_sort_key
 from .errors import ParseError
-from .hyperline import HLHigher, HLRank1, HLRank2, Hyperline, ordered_hyperlines
+from .hyperline import HLHigher, HLRank1, HLRank2, Hyperline
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 _CHAR_SIGN = {"+": 1, "0": 0, "-": -1}
@@ -107,7 +107,7 @@ def _hls_obj(x):
         "rank": x.rank,
         "hyperlines": [
             {"Y": _hls_obj(h.y), "Z": _hls_obj(h.z)}
-            for h in ordered_hyperlines(x)
+            for h in x.hyperlines
         ],
     }
 

@@ -7,9 +7,12 @@ sequence on the elements lying on the hyperline, Z a rank 2 sequence on
 the rest, describing the rotation around it.  Sequences are closed under
 hyperline negation: (Y|Z) and (-Y|-Z) are both stored.
 
-Rank 2 equality is up to cyclic shift, so HLRank2 canonicalizes its
-rotation on construction.  Everything downstream (set dedup, hashing,
-serialization) leans on that canonical form.
+Every sequence stores its canonical form, built once in its constructor:
+rank 2 equality is up to cyclic shift, so HLRank2 stores its canonical
+rotation plus the slot map from signed elements to atom indices, and
+HLHigher stores its distinct hyperlines in display order.  Everything
+downstream (equality, hashing, bases, checking, serialization) reads that
+form and never re-derives it.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ class HLRank1:
 
 
 class HLRank2:
-    """Rank 2 sequence: cyclic atom sequence, stored in canonical rotation."""
+    """Rank 2 sequence: cyclic atom sequence, stored in canonical rotation.
+    `pos` maps each signed element to its atom index; it is None when a
+    signed element sits in two atoms."""
 
-    __slots__ = ("atoms", "ground")
+    __slots__ = ("atoms", "ground", "pos")
     rank = 2
 
     def __init__(self, atoms):
@@ -72,6 +77,8 @@ class HLRank2:
             raise ValueError("0 is not a signed element")
         self.atoms = _canonical_rotation(ats)
         self.ground = frozenset(abs(x) for a in ats for x in a)
+        pos = {s: i for i, a in enumerate(self.atoms) for s in a}
+        self.pos = pos if len(pos) == sum(map(len, ats)) else None
 
     @property
     def period(self):
@@ -94,7 +101,9 @@ class Hyperline(NamedTuple):
 
 
 class HLHigher:
-    """Rank r > 2 sequence: a set of hyperlines."""
+    """Rank r > 2 sequence: a tuple of distinct hyperlines in display
+    order, grouped by Y ground, the orientation whose lexicographically
+    smallest Y base is positive first, then by encoding."""
 
     __slots__ = ("rank", "hyperlines", "ground")
 
@@ -102,7 +111,7 @@ class HLHigher:
         if rank < 3:
             raise ValueError("HLHigher is for rank 3 and above")
         self.rank = int(rank)
-        self.hyperlines = frozenset(hyperlines)
+        self.hyperlines = tuple(sorted(set(hyperlines), key=_display_key))
         g = set()
         for h in self.hyperlines:
             g |= h.y.ground | h.z.ground
@@ -147,37 +156,13 @@ def encoding(x):
     return (x.rank, tuple(sorted((encoding(h.y), encoding(h.z)) for h in x.hyperlines)))
 
 
-def ordered_hyperlines(x) -> list:
-    """Hyperlines in canonical display order: grouped by hyperline ground,
-    the orientation whose lexicographically smallest positive base on Y is
-    positive first, then by encoding."""
-    return [h for h, _ in _ordered_with_y_bases(x)]
-
-
-def _ordered_with_y_bases(x) -> list:
-    """ordered_hyperlines, each paired with bases(h.y), computed once."""
-    def key(item):
-        h, yb = item
-        flag = 2
-        if yb:
-            sup, sgn = min(yb)
-            flag = 0 if sgn > 0 else 1
-        return (tuple(sorted(h.y.ground)), flag, encoding(h.y), encoding(h.z))
-
-    return sorted(((h, bases(h.y)) for h in x.hyperlines), key=key)
+def _display_key(h):
+    yb = bases(h.y)
+    flag = (0 if min(yb)[1] > 0 else 1) if yb else 2
+    return (tuple(sorted(h.y.ground)), flag, encoding(h.y), encoding(h.z))
 
 
 # ------------------------------------------------------------------- bases
-
-def _atom_positions(x: HLRank2):
-    pos = {}
-    for i, a in enumerate(x.atoms):
-        for s in a:
-            if s in pos:
-                return None  # signed element in two atoms; not a partition
-            pos[s] = i
-    return pos
-
 
 def _merge_sign(a, b):
     inv = sum(1 for y in b for v in a if v > y)
@@ -192,13 +177,10 @@ def bases(x) -> set:
         return {((abs(e),), 1 if e > 0 else -1) for e in x.chosen}
     if isinstance(x, HLRank2):
         out = set()
-        p = x.period
-        if p < 2 or p % 2:
+        p, pos = x.period, x.pos
+        if p < 2 or p % 2 or pos is None:
             return out
         k = p // 2
-        pos = _atom_positions(x)
-        if pos is None:
-            return out
         for u, v in itertools.combinations(sorted(x.ground), 2):
             if u not in pos or v not in pos:
                 continue
@@ -233,13 +215,10 @@ def _positive_tuples(x) -> set:
         return {(e,) for e in x.chosen}
     if isinstance(x, HLRank2):
         out = set()
-        p = x.period
-        if p < 2 or p % 2:
+        p, pos = x.period, x.pos
+        if p < 2 or p % 2 or pos is None:
             return out
         k = p // 2
-        pos = _atom_positions(x)
-        if pos is None:
-            return out
         for a in pos:
             for b in pos:
                 if abs(a) == abs(b):
@@ -294,7 +273,7 @@ def _check_rank2(x, report, path):
     if x.period % 2:
         report.add("structure", (path,), f"{at}odd period {x.period}")
         ok = False
-    pos = _atom_positions(x)
+    pos = x.pos
     if pos is None:
         report.add("structure", (path,),
                    f"{at}a signed element appears in two atoms")
@@ -320,12 +299,12 @@ def _check_rank2(x, report, path):
 
 def _check_higher(x, report, path):
     at = (path + ": ") if path else ""
-    if not x.hyperlines:
+    hls = x.hyperlines
+    if not hls:
         report.add("structure", (path,), f"{at}no hyperlines")
         return
-    ordered = _ordered_with_y_bases(x)
     structural_ok = True
-    for i, (h, _) in enumerate(ordered):
+    for i, h in enumerate(hls):
         sub = f"{path}hyperline[{i}]" if not path else f"{path}.hyperline[{i}]"
         if getattr(h.y, "rank", None) != x.rank - 2:
             report.add("structure", (sub,),
@@ -351,9 +330,9 @@ def _check_higher(x, report, path):
             report.add("H1", (sub,),
                        f"{sub}: Y and Z grounds do not cover the ground set")
             structural_ok = False
-    index = {h: i for i, (h, _) in enumerate(ordered)}
-    opposite = []  # ordered index of each hyperline's negation
-    for i, (h, _) in enumerate(ordered):
+    index = {h: i for i, h in enumerate(hls)}
+    opposite = []  # index of each hyperline's negation
+    for i, h in enumerate(hls):
         j = index.get(_negate_hyperline(h))
         if j is None:
             report.add("structure", (f"hyperline[{i}]",),
@@ -367,12 +346,13 @@ def _check_higher(x, report, path):
 
     # hyperlines grouped by Y ground, in display order within a group
     on_ground = {}
-    for i, (h, _) in enumerate(ordered):
+    for i, h in enumerate(hls):
         on_ground.setdefault(h.y.ground, []).append(i)
 
     # one hyperline per flat: every way of dropping two elements from a
     # base must land on some hyperline
-    all_bases = _join_bases((yb, bases(h.z)) for h, yb in ordered)
+    ybases = [bases(h.y) for h in hls]
+    all_bases = _join_bases(zip(ybases, (bases(h.z) for h in hls)))
     covered = set()
     for sup, _ in sorted(all_bases):
         for p in itertools.combinations(sup, x.rank - 2):
@@ -387,7 +367,7 @@ def _check_higher(x, report, path):
     # H2: a positive base of one Y lying inside another Y's ground forces
     # the two hyperlines to agree up to simultaneous negation.
     holding = {}  # Y base support -> hyperlines whose Y ground contains it
-    for i, (_, yb) in enumerate(ordered):
+    for i, yb in enumerate(ybases):
         near = set()
         for sup, _ in yb:
             if sup not in holding:
@@ -407,7 +387,7 @@ def _check_higher(x, report, path):
     # They are indexed rather than listed: each yt maps to one completion
     # table {a: {b}}, merged over the hyperlines whose Y has yt.
     completions = {}
-    for h, _ in ordered:
+    for h in hls:
         table = {}
         for a, b in _positive_tuples(h.z):
             table.setdefault(a, set()).add(b)
@@ -495,37 +475,16 @@ def to_chirotope(x) -> SignMap:
     return SignMap(x.rank, len(elems), values, elems)
 
 
-def relabel_hls(x, mapping):
-    def ms(s):
-        return mapping[s] if s > 0 else -mapping[-s]
-
-    if isinstance(x, HLRank1):
-        return HLRank1({ms(e) for e in x.chosen})
-    if isinstance(x, HLRank2):
-        return HLRank2(tuple(frozenset(ms(s) for s in a) for a in x.atoms))
-    return HLHigher(
-        x.rank,
-        (Hyperline(relabel_hls(h.y, mapping), relabel_hls(h.z, mapping))
-         for h in x.hyperlines),
-    )
-
-
-def from_chirotope(m: SignMap, representative="smallest"):
-    """Build the hyperline sequence of a chirotope.
+def from_chirotope(m: SignMap):
+    """Build the hyperline sequence of a chirotope, on its labels.
 
     Assumes a valid input; on arbitrary sign maps it either raises
     ConstructionError or returns a structure that fails check_hyperline.
-    `representative` picks the pivot inside each rank 2 atom (smallest or
-    largest in the fixed signed order); valid inputs give equal results.
+    The construction runs on internal ids; rank 1 and rank 2 write labels
+    into their output, and each Y and Z is built from a sub-map carrying
+    the labels of its elements, so every component is built once.
     """
-    x = _from_internal(m, representative)
-    if m.labels != tuple(range(1, m.n + 1)):
-        x = relabel_hls(x, {i + 1: lab for i, lab in enumerate(m.labels)})
-    return x
-
-
-def _from_internal(m, rep):
-    r = m.rank
+    r, lab = m.rank, m.labels
     missing = uncovered(m)
     if missing:
         raise ConstructionError(
@@ -533,9 +492,10 @@ def _from_internal(m, rep):
             "the sequence has nowhere to place it"
         )
     if r == 1:
-        return HLRank1(e * v for (e,), v in m.items())
+        return HLRank1(lab[e - 1] * v for (e,), v in m.items())
     if r == 2:
-        return HLRank2(_rank2_atoms(m, rep))
+        return HLRank2([lab[s - 1] if s > 0 else -lab[-s - 1] for s in a]
+                       for a in _rank2_atoms(m))
 
     hyperlines = set()
     full = set(range(1, m.n + 1))
@@ -545,13 +505,15 @@ def _from_internal(m, rep):
         on_z = {a for a in full if any(g[a])}
         ec = sorted(on_z)
         cvals = [g[a][b] for a, b in itertools.combinations(ec, 2)]
-        z = from_chirotope(SignMap(2, len(ec), cvals, ec), rep)
+        z = from_chirotope(SignMap(2, len(ec), cvals,
+                                   [lab[e - 1] for e in ec]))
 
         z0 = _first_positive_pair(g, prefix, ec)
         eb = sorted(full - on_z)
         bvals = [m.evaluate(sup + z0)
                  for sup in itertools.combinations(eb, r - 2)]
-        y = from_chirotope(SignMap(r - 2, len(eb), bvals, eb), rep)
+        y = from_chirotope(SignMap(r - 2, len(eb), bvals,
+                                   [lab[e - 1] for e in eb]))
 
         h = Hyperline(y, z)
         hyperlines.add(h)
@@ -574,9 +536,7 @@ def _first_positive_pair(g, prefix, candidates):
     raise ConstructionError(f"prefix {prefix} has no positive completion")
 
 
-def _rank2_atoms(m, rep):
-    if rep not in ("smallest", "largest"):
-        raise ValueError("representative must be 'smallest' or 'largest'")
+def _rank2_atoms(m):
     signed = signed_elements(m.n)
     g = pair_table(m, ())
     tab = {}
@@ -602,8 +562,7 @@ def _rank2_atoms(m, rep):
             break
         if len(atoms) > 4 * m.n + 4:
             raise ConstructionError("rank 2 construction does not close up")
-        pivot = (min if rep == "smallest" else max)(cur, key=signed_sort_key)
-        cur = atom(pivot)
+        cur = atom(min(cur, key=signed_sort_key))
     return atoms
 
 

@@ -159,19 +159,34 @@ def _oriented_bases(x):
     return out
 
 
-def _canon(x, negated=False):
+def _canon(x, negated=False, rename=None):
     """Key equal for equal sequences (rank 2 up to rotation), of x or of
     its negation: rank 1 negates every element, rank 2 reverses the
-    cyclic order, higher ranks negate every Z."""
+    cyclic order, higher ranks negate every Z.  With rename, element e is
+    read as rename[e] (and its bar as the bar of rename[e])."""
+    def name(s):
+        if rename is None:
+            return s
+        return rename[s] if s > 0 else -rename[-s]
+
     if x.rank == 1:
-        return (1, frozenset(-e if negated else e for e in x.chosen))
+        return (1, frozenset(-name(e) if negated else name(e)
+                             for e in x.chosen))
     if x.rank == 2:
         p = len(x.atoms)
         atoms = [x.atoms[(-a) % p] if negated else x.atoms[a] for a in range(p)]
-        enc = [tuple(sorted(a, key=_signed_key)) for a in atoms]
+        enc = [tuple(sorted(map(name, a), key=_signed_key)) for a in atoms]
         return (2, min(tuple(enc[s:] + enc[:s]) for s in range(p)))
-    return (x.rank, frozenset((_canon(h.y), _canon(h.z, negated))
+    return (x.rank, frozenset((_canon(h.y, False, rename),
+                               _canon(h.z, negated, rename))
                               for h in x.hyperlines))
+
+
+def literal_key(x, rename=None):
+    """A key equal exactly for equal sequences.  With rename it is the key
+    of x with every element e renamed rename[e], read off x's data: a
+    literal relabel."""
+    return _canon(x, rename=rename)
 
 
 def _encoding(x):

@@ -364,6 +364,17 @@ class TestRender:
         assert res.returncode == 0
         assert 'text-decoration="overline"' in res.stdout
 
+    @pytest.mark.parametrize("chi, axioms", [
+        ("2 7\n-+-++--+-0-++-+-0--++\n", ["C3", "C4"]),
+        ("2 4\n+-++++\n", ["C4"]),
+    ])
+    def test_invalid_input_refused(self, chi, axioms):
+        res = run_om("render", "-", stdin=chi)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert [line.split()[0] for line in res.stderr.splitlines()] == axioms
+        assert res.stderr == run_om("check", "-", stdin=chi).stdout
+
 
 class TestUsage:
     def test_no_command(self):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    _compose,
     literal_census,
     literal_covectors,
     random_fullrank_rows,
@@ -21,7 +22,6 @@ from omkit import (
     canonical_arrangement,
     classify_full,
     cocircuits,
-    compose,
     contract,
     covectors,
     delete,
@@ -69,16 +69,6 @@ class TestCocircuits:
             assert sum(1 for s in v if s == 0) == 2
 
 
-class TestCompose:
-    def test_first_wins(self):
-        assert compose((1, 0, -1), (0, 1, 1)) == (1, 1, -1)
-        assert compose((0, 0, 0), (1, -1, 0)) == (1, -1, 0)
-
-    def test_idempotent(self):
-        u = (1, 0, -1)
-        assert compose(u, u) == u
-
-
 class TestCovectors:
     def test_frame4_count(self):
         assert len(covectors(from_vectors(FRAME4))) == 51
@@ -93,7 +83,7 @@ class TestCovectors:
         sample = sorted(cvs)[::5]
         for u in sample:
             for v in sample:
-                assert compose(u, v) in cvs
+                assert _compose(u, v) in cvs
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -298,6 +288,9 @@ class TestRepresentations:
     def test_rank2_empty_slot(self):
         with pytest.raises(ArrangementError):
             read_rank2(ArrangementR2(4, {1: 0, -1: 2}))
+        # a signed element in two atoms has no single slot
+        with pytest.raises(ArrangementError):
+            represent_rank2(HLRank2([{1}, {1, 2}, {-1}, {-1, -2}]))
 
     def test_exhaustive_small_roundtrips(self):
         # every sequence on {1, 2} up to period 4

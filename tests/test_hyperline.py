@@ -5,7 +5,9 @@ import pytest
 
 from helpers import (
     angular_atoms,
+    literal_display_order,
     literal_h2_h3_h4,
+    literal_key,
     random_fullrank_rows,
     rotations_equal,
 )
@@ -27,7 +29,6 @@ from omkit import (
     from_vectors,
     minor_hls,
     negate_hls,
-    relabel_hls,
     to_chirotope,
 )
 
@@ -300,19 +301,6 @@ class TestConversion:
             x = from_chirotope(from_vectors(rows))
             assert rotations_equal(x.atoms, angular_atoms(rows))
 
-    def test_representative_choice_is_immaterial(self, corpus):
-        for n, r, rows in corpus[:50]:
-            m = from_vectors(rows)
-            assert (
-                from_chirotope(m, representative="smallest")
-                == from_chirotope(m, representative="largest")
-            )
-
-    def test_bad_representative(self):
-        m = from_vectors([(1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            from_chirotope(m, representative="median")
-
     def test_roundtrip_corpus(self, corpus):
         for n, r, rows in corpus[:80]:
             m = from_vectors(rows)
@@ -362,11 +350,22 @@ class TestConversion:
         assert back.ground == {2, 5, 9}
         assert back == x
 
-    def test_relabel(self):
-        x = HLRank2(HEXA)
-        y = relabel_hls(x, {1: 10, 2: 20, 3: 30})
-        assert y.ground == {10, 20, 30}
-        assert relabel_hls(y, {10: 1, 20: 2, 30: 3}) == x
+    def test_labels_written_at_the_leaves(self):
+        # labels that are neither 1..n nor ascending: the sequence built
+        # on them is the one built on 1..n, renamed element by element
+        rng = random.Random(11)
+        for r in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                n = rng.randint(r, min(r + 3, 7))
+                m = from_vectors(random_fullrank_rows(rng, n, r))
+                labels = rng.sample(range(2, 40), n)
+                x = from_chirotope(
+                    SignMap(r, n, [v for _, v in m.items()], labels))
+                assert x.ground == set(labels)
+                assert literal_key(x) == literal_key(
+                    from_chirotope(m), dict(zip(range(1, n + 1), labels)))
+                if r > 2:
+                    assert x.hyperlines == tuple(literal_display_order(x))
 
 
 class TestMinorHls:
@@ -453,6 +452,7 @@ def test_matches_literal_scans():
         x = from_chirotope(from_vectors(rows))
         for _ in range(rng.randint(0, 2)):
             x = _mutated(rng, x)
+        assert x.hyperlines == tuple(literal_display_order(x))
         got = [(v.axiom, v.witness, v.message)
                for v in check_hyperline(x).violations]
         assert got == literal_h2_h3_h4(x)
