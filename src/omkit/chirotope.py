@@ -45,6 +45,7 @@ from .errors import (
 MAX_CHECK_N = 9
 MAX_CHECK_RANK = 5
 MAX_ENUM_SUPPORTS = 20
+MAX_SIGNS = 10**6  # a SignMap of more signs is refused before allocation
 
 
 class OrientationClass(Enum):
@@ -148,10 +149,15 @@ class SignMap:
         return f"SignMap(rank={self.rank}, n={self.n}, nonzero={nz})"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _layout(n, r):
     """The ascending r-subsets of 1..n in lexicographic order, and the
-    position of each in that order."""
+    position of each in that order.  Refuses more than MAX_SIGNS subsets
+    before building any; the cache holds every (n, r) with r <= 5 and
+    n <= 9, all that one from_chirotope at the size guard can touch."""
+    if comb(n, r) > MAX_SIGNS:
+        raise ValueError(f"C({n}, {r}) = {comb(n, r)} signs is past the "
+                         f"limit of {MAX_SIGNS}")
     subsets = tuple(itertools.combinations(range(1, n + 1), r))
     return subsets, {s: i for i, s in enumerate(subsets)}
 
@@ -238,6 +244,18 @@ def pair_table(m, prefix):
             g[a][b] = v
             g[b][a] = -v
     return g
+
+
+def gather(m, head, subsets):
+    """Value of head + s for each ascending subset s, read straight from
+    the stored values; head is a signed tuple disjoint from every s."""
+    signs, position = m._signs, _layout(m.n, m.rank)[1]
+    lead, sign = normalize(head)
+    out = []
+    for s in subsets:
+        v = sign * signs[position[tuple(sorted(lead + s))]]
+        out.append(-v if sum(h > e for h in lead for e in s) & 1 else v)
+    return out
 
 
 def extendable_prefixes(m):
@@ -360,8 +378,7 @@ def from_vectors(vectors, labels=None) -> SignMap:
     cfg = vectors if isinstance(vectors, VectorConfig) else VectorConfig(vectors)
     rows = cfg.cleared_rows()
     r, n = cfg.r, cfg.n
-    signs = [det_sign([rows[e - 1] for e in sup])
-             for sup in itertools.combinations(range(1, n + 1), r)]
+    signs = [det_sign([rows[e - 1] for e in sup]) for sup in _layout(n, r)[0]]
     # the rows span rank r exactly when some r of them are independent
     if not any(signs):
         raise RealizationError(f"rows do not span rank {r}")
@@ -424,8 +441,7 @@ def contract(m: SignMap, fixed) -> SignMap:
         raise ContractionError(f"no nonzero basis contains {fixed}")
     keep = sorted(ground)
     k = len(fixed)
-    signs = [m.evaluate(fixed + sup)
-             for sup in itertools.combinations(keep, m.rank - k)]
+    signs = gather(m, fixed, itertools.combinations(keep, m.rank - k))
     return SignMap(m.rank - k, len(keep), signs, tuple(m.label_of(e) for e in keep))
 
 

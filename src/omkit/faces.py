@@ -78,7 +78,10 @@ def read_rank1(arr: ArrangementR1):
 def represent_rank2(x) -> ArrangementR2:
     if x.pos is None:
         raise ArrangementError("a signed element sits in two atoms")
-    return ArrangementR2(x.period, dict(x.pos))
+    try:
+        return ArrangementR2(x.period, dict(x.pos))
+    except ValueError as e:  # odd period, or an element without its negation
+        raise ArrangementError(str(e)) from None
 
 
 def read_rank2(arr: ArrangementR2):

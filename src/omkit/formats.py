@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 
 from .chirotope import SignMap, VectorConfig
-from .core import signed_sort_key
 from .errors import ParseError
 from .hyperline import HLHigher, HLRank1, HLRank2, Hyperline
 
@@ -81,91 +80,93 @@ def serialize_chi(m: SignMap) -> str:
 _ELEMENT_RE = re.compile(r"~?[1-9][0-9]*\Z")
 
 
-def _element_str(s: int) -> str:
-    return str(s) if s > 0 else f"~{-s}"
+def _element_json(s: int) -> str:
+    return f'"{s}"' if s > 0 else f'"~{-s}"'
 
 
-def _parse_element(tok, path):
+def _parse_element(tok, path, *index):
     if not isinstance(tok, str) or not _ELEMENT_RE.match(tok):
-        raise ParseError(f"{path}: bad element {tok!r} (want '5' or '~5')")
+        where = path + "".join(f"[{i}]" for i in index)
+        raise ParseError(f"{where}: bad element {tok!r} (want '5' or '~5')")
     return -int(tok[1:]) if tok.startswith("~") else int(tok)
 
 
-def _hls_obj(x):
-    if isinstance(x, HLRank1):
-        elems = sorted(x.chosen, key=signed_sort_key)
-        return {"rank": 1, "elements": [_element_str(s) for s in elems]}
-    if isinstance(x, HLRank2):
-        return {
-            "rank": 2,
-            "atoms": [
-                [_element_str(s) for s in sorted(a, key=signed_sort_key)]
-                for a in x.atoms
-            ],
-        }
-    return {
-        "rank": x.rank,
-        "hyperlines": [
-            {"Y": _hls_obj(h.y), "Z": _hls_obj(h.z)}
-            for h in x.hyperlines
-        ],
-    }
+def _hls_json(x, memo):
+    """JSON text of a sequence with sorted keys and no spaces, built once
+    per shared component from its stored encodings."""
+    text = memo.get(x)
+    if text is None:
+        if x.rank == 1:
+            body = '"elements":[' + ",".join(map(_element_json, x.enc))
+        elif x.rank == 2:
+            body = '"atoms":[' + ",".join(
+                "[" + ",".join(map(_element_json, a)) + "]" for a in x.enc)
+        else:
+            body = '"hyperlines":[' + ",".join(
+                f'{{"Y":{_hls_json(h.y, memo)},"Z":{_hls_json(h.z, memo)}}}'
+                for h in x.hyperlines)
+        text = memo[x] = f'{{{body}],"rank":{x.rank}}}'
+    return text
 
 
 def serialize_hls(x) -> str:
-    return json.dumps(_hls_obj(x), separators=(",", ":"), sort_keys=True) + "\n"
+    return _hls_json(x, {}) + "\n"
 
 
-def _hls_from_obj(obj, path):
+def _hls_from_obj(obj, path, memo):
+    """Sequence of a decoded .hls object.  memo holds one object per distinct
+    component, and each rank 1 or 2 one also under the repr of its JSON."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object")
     rank = obj.get("rank")
     if not isinstance(rank, int) or rank < 1:
         raise ParseError(f"{path}: 'rank' must be a positive integer")
-    if rank == 1:
-        elems = obj.get("elements")
-        if not isinstance(elems, list) or not elems:
-            raise ParseError(f"{path}: rank 1 needs a nonempty 'elements' list")
-        return HLRank1(
-            {_parse_element(t, f"{path}.elements[{i}]") for i, t in enumerate(elems)}
-        )
-    if rank == 2:
-        atoms = obj.get("atoms")
-        if not isinstance(atoms, list) or not atoms:
-            raise ParseError(f"{path}: rank 2 needs a nonempty 'atoms' list")
-        parsed = []
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, list) or not atom:
-                raise ParseError(f"{path}.atoms[{i}]: atom must be a nonempty list")
-            parsed.append(
-                {_parse_element(t, f"{path}.atoms[{i}][{j}]")
-                 for j, t in enumerate(atom)}
-            )
-        return HLRank2(parsed)
+    if rank <= 2:
+        raw = (rank, repr(obj.get("elements" if rank == 1 else "atoms")))
+        x = memo.get(raw)
+        if x is None:
+            x = _hls_leaf(obj, rank, path)
+            x = memo[raw] = memo.setdefault(x, x)
+        return x
     hls = obj.get("hyperlines")
     if not isinstance(hls, list) or not hls:
         raise ParseError(f"{path}: rank {rank} needs a nonempty 'hyperlines' list")
     parsed = []
     for i, h in enumerate(hls):
+        at = f"{path}.hyperlines[{i}]"
         if not isinstance(h, dict) or "Y" not in h or "Z" not in h:
-            raise ParseError(
-                f"{path}.hyperlines[{i}]: expected an object with 'Y' and 'Z'"
-            )
-        y = _hls_from_obj(h["Y"], f"{path}.hyperlines[{i}].Y")
-        z = _hls_from_obj(h["Z"], f"{path}.hyperlines[{i}].Z")
+            raise ParseError(f"{at}: expected an object with 'Y' and 'Z'")
+        y = _hls_from_obj(h["Y"], at + ".Y", memo)
+        z = _hls_from_obj(h["Z"], at + ".Z", memo)
         if y.rank != rank - 2:
-            raise ParseError(
-                f"{path}.hyperlines[{i}].Y: rank {y.rank}, expected {rank - 2}"
-            )
+            raise ParseError(f"{at}.Y: rank {y.rank}, expected {rank - 2}")
         if z.rank != 2:
-            raise ParseError(f"{path}.hyperlines[{i}].Z: rank {z.rank}, expected 2")
+            raise ParseError(f"{at}.Z: rank {z.rank}, expected 2")
         parsed.append(Hyperline(y, z))
-    return HLHigher(rank, parsed)
+    x = HLHigher(rank, parsed)
+    return memo.setdefault(x, x)
+
+
+def _hls_leaf(obj, rank, path):
+    name = "elements" if rank == 1 else "atoms"
+    items = obj.get(name)
+    if not isinstance(items, list) or not items:
+        raise ParseError(f"{path}: rank {rank} needs a nonempty '{name}' list")
+    if rank == 1:
+        return HLRank1({_parse_element(t, f"{path}.elements", i)
+                        for i, t in enumerate(items)})
+    parsed = []
+    for i, atom in enumerate(items):
+        if not isinstance(atom, list) or not atom:
+            raise ParseError(f"{path}.atoms[{i}]: atom must be a nonempty list")
+        parsed.append({_parse_element(t, f"{path}.atoms", i, j)
+                       for j, t in enumerate(atom)})
+    return HLRank2(parsed)
 
 
 def parse_hls(text: str):
     try:
-        return _hls_from_obj(json.loads(text), "$")
+        return _hls_from_obj(json.loads(text), "$", {})
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
@@ -233,7 +234,7 @@ def render_rank2_svg(x: HLRank2) -> str:
         f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
         'fill="none" stroke="black"/>',
     ]
-    for a, atom in enumerate(x.atoms):
+    for a, atom in enumerate(x.enc):
         theta = 2.0 * math.pi * a / p
         ux, uy = math.cos(theta), -math.sin(theta)
         x1, y1 = cx + (radius - 7) * ux, cy + (radius - 7) * uy
@@ -243,14 +244,8 @@ def render_rank2_svg(x: HLRank2) -> str:
             'stroke="black"/>'
         )
         tx, ty = cx + (radius + 26) * ux, cy + (radius + 26) * uy
-        spans = []
-        for s in sorted(atom, key=signed_sort_key):
-            if s > 0:
-                spans.append(f"<tspan>{s}</tspan>")
-            else:
-                spans.append(
-                    f'<tspan text-decoration="overline">{-s}</tspan>'
-                )
+        spans = [f"<tspan>{s}</tspan>" if s > 0 else
+                 f'<tspan text-decoration="overline">{-s}</tspan>' for s in atom]
         parts.append(
             f'<text x="{tx:.2f}" y="{ty:.2f}" font-size="14" '
             'text-anchor="middle" dominant-baseline="middle">'

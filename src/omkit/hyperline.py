@@ -8,91 +8,165 @@ the rest, describing the rotation around it.  Sequences are closed under
 hyperline negation: (Y|Z) and (-Y|-Z) are both stored.
 
 Every sequence stores its canonical form, built once in its constructor:
-rank 2 equality is up to cyclic shift, so HLRank2 stores its canonical
-rotation plus the slot map from signed elements to atom indices, and
-HLHigher stores its distinct hyperlines in display order.  Everything
-downstream (equality, hashing, bases, checking, serialization) reads that
-form and never re-derives it.
+HLRank2 its rotation whose atom encodings come first, with those
+encodings, and HLHigher its distinct hyperlines in display order.  What
+is derived from that form (slot map, negation, bases, positive tuples,
+encoding) is computed on first use and kept on the object.  Components
+are shared: parse_hls and from_chirotope return one object per distinct
+component, so each is built, negated and read once.  check_hyperline
+checks a component once up to negation and, from rank 3, up to renaming
+its elements in order.  Negation reindexes the stored rotation.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
+from functools import cached_property
 from typing import NamedTuple
 
 from . import chirotope
-from .chirotope import (
-    SignMap,
-    extendable_prefixes,
-    guard_check_size,
-    pair_table,
-    uncovered,
-)
+from .chirotope import (SignMap, extendable_prefixes, gather, guard_check_size,
+                        pair_table, uncovered)
 from .core import signed_elements, signed_sort_key
 from .errors import ConstructionError, DeletionError, ValidationReport
 
 
-def _canonical_rotation(atoms):
-    enc = [tuple(sorted(a, key=signed_sort_key)) for a in atoms]
-    best = min(range(len(atoms)), key=lambda s: enc[s:] + enc[:s])
-    return tuple(atoms[best:] + atoms[:best])
+def _signed_sorted(elems):
+    """Signed elements in the order 1 < -1 < 2 < -2 < ..., as a tuple."""
+    return tuple(sorted(sorted(elems, reverse=True), key=abs) if len(elems) > 1 else elems)
 
 
-class HLRank1:
+class _Sequence:
+    """Equality on the stored form `_key`, hashed once; values derived
+    from the stored form are computed on first use and kept."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _shape(self):
+        """The encoding with the ground renamed 1..n in order.  The check
+        only compares, negates and sorts elements, so a sequence and its
+        shape get the same verdict."""
+        rank = dict(zip(sorted(self.ground), range(1, len(self.ground) + 1)))
+        return _renamed(encoding(self), lambda e: rank[e] if e > 0 else -rank[-e])
+
+    @cached_property
+    def _head(self):
+        """Y's part of a hyperline's display key: ground, base flag, encoding."""
+        yb = self._bases
+        flag = (0 if min(yb)[1] > 0 else 1) if yb else 2
+        return (tuple(sorted(self.ground)), flag, encoding(self))
+
+
+class HLRank1(_Sequence):
     """Rank 1 sequence: one signed copy chosen per element."""
 
-    __slots__ = ("chosen", "ground")
     rank = 1
 
     def __init__(self, chosen):
-        ch = frozenset(int(x) for x in chosen)
-        if any(x == 0 for x in ch):
+        ch = frozenset(map(int, chosen))
+        if 0 in ch:
             raise ValueError("0 is not a signed element")
-        self.chosen = ch
-        self.ground = frozenset(abs(x) for x in ch)
+        self.chosen = self._key = ch
+        self._hash = hash(ch)
+        self.ground = frozenset(map(abs, ch))
+        self.enc = _signed_sorted(ch)
 
-    def __eq__(self, other):
-        return isinstance(other, HLRank1) and self.chosen == other.chosen
+    @cached_property
+    def negation(self):
+        return HLRank1(-e for e in self.chosen)
 
-    def __hash__(self):
-        return hash((HLRank1, self.chosen))
+    @cached_property
+    def _bases(self):
+        return {((abs(e),), 1 if e > 0 else -1) for e in self.chosen}
+
+    @cached_property
+    def _tuples(self):
+        return {(e,) for e in self.chosen}
 
     def __repr__(self):
-        return f"HLRank1({sorted(self.chosen, key=signed_sort_key)})"
+        return f"HLRank1({list(self.enc)})"
 
 
-class HLRank2:
-    """Rank 2 sequence: cyclic atom sequence, stored in canonical rotation.
-    `pos` maps each signed element to its atom index; it is None when a
-    signed element sits in two atoms."""
+class HLRank2(_Sequence):
+    """Rank 2 sequence: cyclic atom sequence, stored in canonical rotation
+    (the one whose atom encodings come first) with the encodings beside
+    the atoms.  `pos` maps each signed element to its atom index; it is
+    None when a signed element sits in two atoms."""
 
-    __slots__ = ("atoms", "ground", "pos")
     rank = 2
 
     def __init__(self, atoms):
-        ats = tuple(frozenset(int(x) for x in a) for a in atoms)
-        if not ats:
-            raise ValueError("need at least one atom")
-        if any(x == 0 for a in ats for x in a):
-            raise ValueError("0 is not a signed element")
-        self.atoms = _canonical_rotation(ats)
-        self.ground = frozenset(abs(x) for a in ats for x in a)
-        pos = {s: i for i, a in enumerate(self.atoms) for s in a}
-        self.pos = pos if len(pos) == sum(map(len, ats)) else None
+        ats = [frozenset(map(int, a)) for a in atoms]
+        ground = frozenset(map(abs, itertools.chain.from_iterable(ats)))
+        if not ats or 0 in ground:
+            raise ValueError("0 is not a signed element" if ats
+                             else "need at least one atom")
+        self._store(ats, [_signed_sorted(a) for a in ats], ground)
+
+    def _store(self, ats, enc, ground):
+        first = min(enc)  # the smallest rotation starts at a smallest atom
+        s = min((s for s, a in enumerate(enc) if a == first),
+                key=lambda s: enc[s:] + enc[:s])
+        self.atoms = tuple(ats[s:] + ats[:s])
+        self.enc = self._key = tuple(enc[s:] + enc[:s])
+        self._hash = hash(self.enc)
+        self.ground = ground
 
     @property
     def period(self):
         return len(self.atoms)
 
-    def __eq__(self, other):
-        return isinstance(other, HLRank2) and self.atoms == other.atoms
+    @cached_property
+    def pos(self):
+        pos = {e: i for i, a in enumerate(self.enc) for e in a}
+        return pos if len(pos) == sum(map(len, self.enc)) else None
 
-    def __hash__(self):
-        return hash((HLRank2, self.atoms))
+    @cached_property
+    def negation(self):
+        """The reversed cyclic order: stored atoms and encodings, reindexed."""
+        p = self.period
+        order = [-a % p for a in range(p)]
+        neg = HLRank2.__new__(HLRank2)
+        neg._store([self.atoms[a] for a in order],
+                   [self.enc[a] for a in order], self.ground)
+        return neg
+
+    @cached_property
+    def _bases(self):
+        """(u, v) is a base when v lies less than half a turn (k slots)
+        after u (+) or more than half a turn after it (-)."""
+        p = self.period
+        pos = None if p % 2 else self.pos
+        els = sorted(e for e in self.ground if e in (pos or ()))
+        return {((u, v), 1 if d < p // 2 else -1)
+                for i, u in enumerate(els) for v in els[i + 1:]
+                if (d := (pos[v] - pos[u]) % p) % (p // 2)}
+
+    @cached_property
+    def _table(self):
+        """{a: {b}} over the positively oriented pairs (a, b): b lies in
+        one of the k - 1 atoms after a's and is not a copy of a."""
+        p = self.period
+        pos = None if p % 2 else self.pos
+        if pos is None:
+            return {}
+        ring = self.enc * 2
+        after = [frozenset().union(*ring[i + 1:i + p // 2]) for i in range(p)]
+        return {a: bs for a, i in pos.items() if (bs := after[i] if after[i]
+                .isdisjoint((a, -a)) else after[i].difference((a, -a)))}
+
+    @cached_property
+    def _tuples(self):
+        return {(a, b) for a, bs in self._table.items() for b in bs}
 
     def __repr__(self):
-        shown = [sorted(a, key=signed_sort_key) for a in self.atoms]
-        return f"HLRank2({shown})"
+        return f"HLRank2({[list(a) for a in self.enc]})"
 
 
 class Hyperline(NamedTuple):
@@ -100,142 +174,86 @@ class Hyperline(NamedTuple):
     z: object  # rank 2 sequence around it
 
 
-class HLHigher:
+class HLHigher(_Sequence):
     """Rank r > 2 sequence: a tuple of distinct hyperlines in display
     order, grouped by Y ground, the orientation whose lexicographically
     smallest Y base is positive first, then by encoding."""
-
-    __slots__ = ("rank", "hyperlines", "ground")
 
     def __init__(self, rank, hyperlines):
         if rank < 3:
             raise ValueError("HLHigher is for rank 3 and above")
         self.rank = int(rank)
         self.hyperlines = tuple(sorted(set(hyperlines), key=_display_key))
-        g = set()
+        self.ground = frozenset().union(*(h.y.ground for h in self.hyperlines),
+                                        *(h.z.ground for h in self.hyperlines))
+        self._key = (self.rank, self.hyperlines)
+        self._hash = hash(self._key)
+
+    @cached_property
+    def negation(self):
+        """Every Z negated; each Z keeps its own negation."""
+        return HLHigher(self.rank, [Hyperline(h.y, h.z.negation) for h in self.hyperlines])
+
+    @cached_property
+    def enc(self):
+        return tuple(sorted((encoding(h.y), encoding(h.z)) for h in self.hyperlines))
+
+    @cached_property
+    def _cells(self):
+        """(support, sign, Y support, Y sign) for each base of a Y joined
+        with each disjoint base of its Z.  The sign of the merge counts,
+        per Z element, the Y elements above it."""
+        out = []
         for h in self.hyperlines:
-            g |= h.y.ground | h.z.ground
-        self.ground = frozenset(g)
+            for sup_y, sign_y in h.y._bases:
+                ys = set(sup_y)
+                above = {e: len(sup_y) - bisect(sup_y, e) for e in h.z.ground}
+                out += [(tuple(sorted(sup_y + sup_z)),
+                         sign_y * sign_z * (1 - 2 * (sum(map(above.get, sup_z)) & 1)),
+                         sup_y, sign_y)
+                        for sup_z, sign_z in h.z._bases if ys.isdisjoint(sup_z)]
+        return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HLHigher)
-            and self.rank == other.rank
-            and self.hyperlines == other.hyperlines
-        )
+    @cached_property
+    def _bases(self):
+        return {cell[:2] for cell in self._cells}
 
-    def __hash__(self):
-        return hash((HLHigher, self.rank, self.hyperlines))
+    @cached_property
+    def _tuples(self):
+        """Read only once H1 holds: Y and Z grounds are disjoint."""
+        return {yt + pair for h in self.hyperlines
+                for yt in h.y._tuples for pair in h.z._tuples}
 
     def __repr__(self):
         return f"HLHigher(rank={self.rank}, hyperlines={len(self.hyperlines)})"
 
 
 def negate_hls(x):
-    if isinstance(x, HLRank1):
-        return HLRank1({-e for e in x.chosen})
-    if isinstance(x, HLRank2):
-        p = x.period
-        return HLRank2(tuple(x.atoms[(-a) % p] for a in range(p)))
-    return HLHigher(
-        x.rank,
-        (Hyperline(h.y, negate_hls(h.z)) for h in x.hyperlines),
-    )
-
-
-def _negate_hyperline(h):
-    return Hyperline(negate_hls(h.y), negate_hls(h.z))
+    """The negated sequence, derived once per object and kept on it."""
+    return x.negation
 
 
 def encoding(x):
     """Deterministic nested-tuple encoding, used for stable ordering."""
-    if isinstance(x, HLRank1):
-        return (1, tuple(sorted(x.chosen, key=signed_sort_key)))
-    if isinstance(x, HLRank2):
-        return (2, tuple(tuple(sorted(a, key=signed_sort_key)) for a in x.atoms))
-    return (x.rank, tuple(sorted((encoding(h.y), encoding(h.z)) for h in x.hyperlines)))
+    return (x.rank, x.enc)
+
+
+def _renamed(code, f):
+    r, enc = code
+    if r > 2:
+        return (r, tuple((_renamed(y, f), _renamed(z, f)) for y, z in enc))
+    return (r, tuple(map(f, enc)) if r == 1 else tuple(tuple(map(f, a)) for a in enc))
 
 
 def _display_key(h):
-    yb = bases(h.y)
-    flag = (0 if min(yb)[1] > 0 else 1) if yb else 2
-    return (tuple(sorted(h.y.ground)), flag, encoding(h.y), encoding(h.z))
-
-
-# ------------------------------------------------------------------- bases
-
-def _merge_sign(a, b):
-    inv = sum(1 for y in b for v in a if v > y)
-    return -1 if inv & 1 else 1
+    return (h.y._head, encoding(h.z))
 
 
 def bases(x) -> set:
     """All (support, sign) canonical bases the sequence defines.  On a
     malformed candidate the set may contain both signs for one support;
     conversion refuses that, validation explains it."""
-    if isinstance(x, HLRank1):
-        return {((abs(e),), 1 if e > 0 else -1) for e in x.chosen}
-    if isinstance(x, HLRank2):
-        out = set()
-        p, pos = x.period, x.pos
-        if p < 2 or p % 2 or pos is None:
-            return out
-        k = p // 2
-        for u, v in itertools.combinations(sorted(x.ground), 2):
-            if u not in pos or v not in pos:
-                continue
-            d = (pos[v] - pos[u]) % p
-            if 0 < d < k:
-                out.add(((u, v), 1))
-            elif k < d < p:
-                out.add(((u, v), -1))
-        return out
-    return _join_bases((bases(h.y), bases(h.z)) for h in x.hyperlines)
-
-
-def _join_bases(pairs) -> set:
-    """Bases of a rank r > 2 sequence from its hyperlines' (Y bases,
-    Z bases) pairs."""
-    out = set()
-    for yb, zb in pairs:
-        for sup_y, sign_y in yb:
-            for sup_z, sign_z in zb:
-                if set(sup_y) & set(sup_z):
-                    continue
-                support = tuple(sorted(sup_y + sup_z))
-                sign = sign_y * sign_z * _merge_sign(sup_y, sup_z)
-                out.add((support, sign))
-    return out
-
-
-def _positive_tuples(x) -> set:
-    """Every signed tuple that is a positively oriented base, as defined
-    hyperline by hyperline.  This is the raw domain of H3 and H4."""
-    if isinstance(x, HLRank1):
-        return {(e,) for e in x.chosen}
-    if isinstance(x, HLRank2):
-        out = set()
-        p, pos = x.period, x.pos
-        if p < 2 or p % 2 or pos is None:
-            return out
-        k = p // 2
-        for a in pos:
-            for b in pos:
-                if abs(a) == abs(b):
-                    continue
-                if 0 < (pos[b] - pos[a]) % p < k:
-                    out.add((a, b))
-        return out
-    out = set()
-    for h in x.hyperlines:
-        zp = _positive_tuples(h.z)
-        for yt in _positive_tuples(h.y):
-            yu = {abs(v) for v in yt}
-            for pair in zp:
-                if abs(pair[0]) in yu or abs(pair[1]) in yu:
-                    continue
-                out.add(yt + pair)
-    return out
+    return set(x._bases)
 
 
 # -------------------------------------------------------------- validation
@@ -245,23 +263,33 @@ def check_hyperline(x, allow_large=False) -> ValidationReport:
     its chirotope; report one witness per violated axiom."""
     guard_check_size(len(x.ground), x.rank, allow_large)
     report = ValidationReport()
-    _check(x, report, "")
+    _check(x, report, "", set())
     return report
 
 
-def _check(x, report, path):
+def _check(x, report, path, clean):
+    """Check x at path.  A nested component that reports nothing goes in
+    `clean` with its negation (same verdict) and, from rank 3, its shape:
+    none of them is checked again.  One that reports anything is checked
+    at each path, because its messages name the path."""
+    if x in clean:
+        return
+    if path and x.rank > 2 and x._shape in clean:
+        clean.add(x.negation)
+        return
+    before = (len(report.violations), len(report.warnings))
     at = (path + ": ") if path else ""
     if isinstance(x, HLRank1):
         if not x.chosen:
             report.add("structure", (path,), f"{at}rank 1 sequence is empty")
         if len(x.chosen) != len(x.ground):
-            report.add("structure", (path,),
-                       f"{at}an element appears with both signs")
-        return
-    if isinstance(x, HLRank2):
+            report.add("structure", (path,), f"{at}an element appears with both signs")
+    elif isinstance(x, HLRank2):
         _check_rank2(x, report, path)
-        return
-    _check_higher(x, report, path)
+    else:
+        _check_higher(x, report, path, clean)
+    if path and (len(report.violations), len(report.warnings)) == before:
+        clean.update((x, x.negation) + ((x._shape,) if x.rank > 2 else ()))
 
 
 def _check_rank2(x, report, path):
@@ -275,12 +303,10 @@ def _check_rank2(x, report, path):
         ok = False
     pos = x.pos
     if pos is None:
-        report.add("structure", (path,),
-                   f"{at}a signed element appears in two atoms")
+        report.add("structure", (path,), f"{at}a signed element appears in two atoms")
         ok = False
     elif len(pos) != 2 * len(x.ground):
-        missing = sorted(s for s in signed_elements(x.ground)
-                         if s not in pos)[:4]
+        missing = sorted(s for s in signed_elements(x.ground) if s not in pos)[:4]
         report.add("structure", (path,),
                    f"{at}atoms do not cover both signed copies "
                    f"of every element (missing {missing})")
@@ -297,7 +323,7 @@ def _check_rank2(x, report, path):
                         "all elements mutually parallel")
 
 
-def _check_higher(x, report, path):
+def _check_higher(x, report, path, clean):
     at = (path + ": ") if path else ""
     hls = x.hyperlines
     if not hls:
@@ -317,30 +343,29 @@ def _check_higher(x, report, path):
             structural_ok = False
             continue
         before = len(report.violations)
-        _check(h.y, report, sub + ".Y")
-        _check(h.z, report, sub + ".Z")
-        if len(report.violations) != before:
-            structural_ok = False
-        if h.y.ground & h.z.ground:
+        _check(h.y, report, sub + ".Y", clean)
+        _check(h.z, report, sub + ".Z", clean)
+        structural_ok &= len(report.violations) == before
+        if not h.y.ground.isdisjoint(h.z.ground):
             report.add("H1", (sub,),
                        f"{sub}: Y and Z grounds overlap "
                        f"({sorted(h.y.ground & h.z.ground)})")
             structural_ok = False
-        elif (h.y.ground | h.z.ground) != x.ground:
-            report.add("H1", (sub,),
-                       f"{sub}: Y and Z grounds do not cover the ground set")
+        elif len(h.y.ground) + len(h.z.ground) != len(x.ground):
+            report.add("H1", (sub,), f"{sub}: Y and Z grounds do not cover the ground set")
             structural_ok = False
     index = {h: i for i, h in enumerate(hls)}
-    opposite = []  # index of each hyperline's negation
+    opposite = [None] * len(hls)  # index of each hyperline's negation
     for i, h in enumerate(hls):
-        j = index.get(_negate_hyperline(h))
+        j = index.get(Hyperline(h.y.negation, h.z.negation)) \
+            if opposite[i] is None else opposite[i]
         if j is None:
             report.add("structure", (f"hyperline[{i}]",),
                        f"hyperline[{i}]: negated orientation is missing "
                        "(sequences store both)")
             structural_ok = False
             break
-        opposite.append(j)
+        opposite[i], opposite[j] = j, i  # negation is an involution
     if not structural_ok:
         return
 
@@ -351,31 +376,28 @@ def _check_higher(x, report, path):
 
     # one hyperline per flat: every way of dropping two elements from a
     # base must land on some hyperline
-    ybases = [bases(h.y) for h in hls]
-    all_bases = _join_bases(zip(ybases, (bases(h.z) for h in hls)))
     covered = set()
-    for sup, _ in sorted(all_bases):
+    for sup, _ in sorted(x._bases):
         for p in itertools.combinations(sup, x.rank - 2):
             if p in covered:
                 continue
-            if not any(g.issuperset(p) for g in on_ground):
-                report.add("structure", (p,),
-                           f"no hyperline contains {p}")
+            if frozenset(p) not in on_ground and \
+                    not any(g.issuperset(p) for g in on_ground):
+                report.add("structure", (p,), f"no hyperline contains {p}")
                 return
             covered.add(p)
 
     # H2: a positive base of one Y lying inside another Y's ground forces
     # the two hyperlines to agree up to simultaneous negation.
     holding = {}  # Y base support -> hyperlines whose Y ground contains it
-    for i, yb in enumerate(ybases):
+    for i, h in enumerate(hls):
         near = set()
-        for sup, _ in yb:
+        for sup, _ in h.y._bases:
             if sup not in holding:
                 holding[sup] = [j for g, js in on_ground.items()
                                 if g.issuperset(sup) for j in js]
             near.update(holding[sup])
-        j = next((j for j in sorted(near) if j != i and opposite[j] != i),
-                 None)
+        j = next((j for j in sorted(near) if j != i and opposite[j] != i), None)
         if j is not None:
             report.add("H2", (i, j),
                        f"hyperlines [{i}] and [{j}] share a base of Y "
@@ -383,76 +405,69 @@ def _check_higher(x, report, path):
             break
 
     # H3 and H4 range over the positive tuples yt + (a, b) of x: yt a
-    # positive tuple of some Y, (a, b) one of the same hyperline's Z.
-    # They are indexed rather than listed: each yt maps to one completion
-    # table {a: {b}}, merged over the hyperlines whose Y has yt.
+    # positive tuple of some Y, (a, b) one of the same hyperline's Z.  Each
+    # yt maps to the Z's completion table {a: {b}}, merged over the
+    # hyperlines whose Y has yt, filed as completions[yt[:-1]][yt[-1]].
     completions = {}
     for h in hls:
-        table = {}
-        for a, b in _positive_tuples(h.z):
-            table.setdefault(a, set()).add(b)
-        if not table:
-            continue
-        for yt in _positive_tuples(h.y):
-            prev = completions.get(yt)
-            completions[yt] = table if prev is None else {
+        table = h.z._table
+        for yt in h.y._tuples if table else ():
+            row = completions.setdefault(yt[:-1], {})
+            prev = row.get(yt[-1])
+            row[yt[-1]] = table if prev is None else {
                 a: prev.get(a, set()) | table.get(a, set())
-                for a in prev.keys() | table.keys()
-            }
+                for a in prev.keys() | table.keys()}
     if not completions:
         report.add("structure", ((),), "no positively oriented bases")
         return
-    _h3_h4(x, completions, {sup for sup, _ in all_bases}, report)
+    _h3_h4(x, completions, report)
 
 
-def _h3_h4(x, completions, supports, report):
-    """First H3 and first H4 witness, visiting prefixes yt + (a,) and
-    then tuples in lexicographic order.
-
+def _h3_h4(x, completions, report):
+    """First H3 and first H4 witness, visiting prefixes yt + (a,) and then
+    tuples in lexicographic order; each axiom is decided first, and its
+    witness searched for only when it fails.  Every component is clean.
     H3: a base with no element completing the prefix lies inside the
-    elements that complete nothing; on a uniform sequence those are
-    fewer than r.  Their r-subsets come in lexicographic order, so the
-    first base among them is the smallest.  (Once every component has
-    passed its own checks, the supports of the positive tuples are those
-    of the bases.)
-    H4: the image of yt + (a, b) is yt[:-1] + (-a,) + (yt[-1], b)."""
+    elements that complete nothing; the first base among their r-subsets
+    is the smallest.  A prefix matters only through its completion set,
+    which a hyperline shares among all its yt.
+    H4: the image of yt + (a, b) is yt[:-1] + (-a,) + (yt[-1], b).  Each
+    hyperline's positive tuples are closed under the swaps that keep an
+    oriented simplex on either side of the boundary, so H4 holds exactly
+    when each base (support, sign) is reached from all r (r - 1) of its
+    cells (Y support, Y sign), the most any base can have."""
     r, ground = x.rank, x.ground
-    spanless = set()  # element sets already known to hold no base
-    h3 = h4 = None
-    for yt in sorted(completions):
-        table = completions[yt]
-        for a in sorted(table):
-            done = table[a]
-            if h3 is None:
-                free = ground.difference(map(abs, done))
-                if len(free) >= r and free not in spanless:
-                    tsup = next((c for c in
-                                 itertools.combinations(sorted(free), r)
-                                 if c in supports), None)
-                    if tsup is None:
-                        spanless.add(free)
-                    else:
-                        h3 = (yt + (a,), tsup)
-            if h4 is None:
-                lost = done.difference(
-                    completions.get(yt[:-1] + (-a,), {}).get(yt[-1], ()))
-                if lost:
-                    h4 = yt + (a, min(lost))
-            if h3 and h4:
-                break
-        else:
-            continue
-        break
-    if h3:
-        pref, tsup = h3
-        report.add("H3", h3,
-                   f"no exchange: prefix {pref} admits no completion "
-                   f"from base {tsup}")
-    if h4:
+    supports = {sup for sup, _ in x._bases}
+    first_base = {}  # elements completing nothing -> first base among them
+    h3_base = {}     # id of a completion set -> first_base of what it misses
+    tables = {id(t): t for row in completions.values() for t in row.values()}
+    for done in (done for t in tables.values() for done in t.values()):
+        free = ground.difference(map(abs, done))
+        if len(free) >= r and free not in first_base:
+            first_base[free] = next((c for c in itertools.combinations(
+                sorted(free), r) if c in supports), None)
+        h3_base[id(done)] = first_base.get(free)
+
+    def first(fails):
+        return next((head, y, a) for head in sorted(completions)
+                    for y in sorted(completions[head])
+                    for a in sorted(completions[head][y]) if fails(head, y, a))
+
+    def lost(head, y, a):
+        row = completions[head]
+        return row[y][a].difference(row.get(-a, {}).get(y, ()))
+
+    if any(h3_base.values()):
+        head, y, a = first(lambda h, y, a: h3_base[id(completions[h][y][a])])
+        pref, tsup = head + (y, a), h3_base[id(completions[head][y][a])]
+        report.add("H3", (pref, tsup), f"no exchange: prefix {pref} admits "
+                   f"no completion from base {tsup}")
+    if len(set(x._cells)) != r * (r - 1) * len(x._bases):
+        head, y, a = first(lost)
+        h4 = head + (y, a, min(lost(head, y, a)))
         moved = h4[: r - 3] + (-h4[r - 2], h4[r - 3]) + h4[r - 1:]
-        report.add("H4", (h4,),
-                   f"base {h4} survives no swap across the hyperline "
-                   f"boundary (image {moved} is not positive)")
+        report.add("H4", (h4,), f"base {h4} survives no swap across the "
+                   f"hyperline boundary (image {moved} is not positive)")
 
 
 # -------------------------------------------------------------- conversion
@@ -465,12 +480,10 @@ def to_chirotope(x) -> SignMap:
         raise ValueError("empty ground set")
     index = {e: i + 1 for i, e in enumerate(elems)}
     values = {}
-    for sup, sign in bases(x):
+    for sup, sign in x._bases:
         key = tuple(index[e] for e in sup)
         if values.get(key, sign) != sign:
-            raise ConstructionError(
-                f"hyperlines disagree on the orientation of {sup}"
-            )
+            raise ConstructionError(f"hyperlines disagree on the orientation of {sup}")
         values[key] = sign
     return SignMap(x.rank, len(elems), values, elems)
 
@@ -480,85 +493,79 @@ def from_chirotope(m: SignMap):
 
     Assumes a valid input; on arbitrary sign maps it either raises
     ConstructionError or returns a structure that fails check_hyperline.
-    The construction runs on internal ids; rank 1 and rank 2 write labels
-    into their output, and each Y and Z is built from a sub-map carrying
-    the labels of its elements, so every component is built once.
-    """
+    Rank 1 and 2 write labels into their output; each Y and Z is built
+    once per distinct sub-map, which carries its elements' labels, and
+    each hyperline's opposite is its components' negations."""
+    return _from_chirotope(m, {})
+
+
+def _from_chirotope(m, memo):
+    key = (m.rank, m.labels, tuple(m._signs))
+    if key in memo:
+        return memo[key]
     r, lab = m.rank, m.labels
     missing = uncovered(m)
     if missing:
-        raise ConstructionError(
-            f"element {missing[0]} lies in no nonzero basis; "
-            "the sequence has nowhere to place it"
-        )
+        raise ConstructionError(f"element {missing[0]} lies in no nonzero basis; "
+                                "the sequence has nowhere to place it")
     if r == 1:
-        return HLRank1(lab[e - 1] * v for (e,), v in m.items())
-    if r == 2:
-        return HLRank2([lab[s - 1] if s > 0 else -lab[-s - 1] for s in a]
-                       for a in _rank2_atoms(m))
-
-    hyperlines = set()
-    full = set(range(1, m.n + 1))
-    for prefix in extendable_prefixes(m):
-        g = pair_table(m, prefix)
-        # the elements off the hyperline: those completing prefix to a basis
-        on_z = {a for a in full if any(g[a])}
-        ec = sorted(on_z)
-        cvals = [g[a][b] for a, b in itertools.combinations(ec, 2)]
-        z = from_chirotope(SignMap(2, len(ec), cvals,
-                                   [lab[e - 1] for e in ec]))
-
-        z0 = _first_positive_pair(g, prefix, ec)
-        eb = sorted(full - on_z)
-        bvals = [m.evaluate(sup + z0)
-                 for sup in itertools.combinations(eb, r - 2)]
-        y = from_chirotope(SignMap(r - 2, len(eb), bvals,
-                                   [lab[e - 1] for e in eb]))
-
-        h = Hyperline(y, z)
-        hyperlines.add(h)
-        hyperlines.add(_negate_hyperline(h))
-    return HLHigher(r, hyperlines)
-
-
-def _signed_value(g, a, b):
-    """Value of a signed pair from a pair_table."""
-    v = g[abs(a)][abs(b)]
-    return v if (a > 0) == (b > 0) else -v
+        x = HLRank1(lab[e - 1] * v for (e,), v in m.items())
+    elif r == 2:
+        x = HLRank2([lab[s - 1] if s > 0 else -lab[-s - 1] for s in a]
+                    for a in _rank2_atoms(m))
+    else:
+        hyperlines = []
+        full = set(range(1, m.n + 1))
+        for prefix in extendable_prefixes(m):
+            g = pair_table(m, prefix)
+            # the elements off the hyperline: those completing prefix to a basis
+            ec = [a for a in sorted(full) if any(g[a])]
+            cvals = [g[a][b] for a, b in itertools.combinations(ec, 2)]
+            z = _from_chirotope(SignMap(2, len(ec), cvals,
+                                        [lab[e - 1] for e in ec]), memo)
+            eb = sorted(full.difference(ec))
+            bvals = gather(m, _first_positive_pair(g, prefix, ec),
+                           itertools.combinations(eb, r - 2))
+            y = _from_chirotope(SignMap(r - 2, len(eb), bvals,
+                                        [lab[e - 1] for e in eb]), memo)
+            hyperlines += [Hyperline(y, z), Hyperline(y.negation, z.negation)]
+        x = HLHigher(r, hyperlines)
+    memo[key] = x
+    return x
 
 
 def _first_positive_pair(g, prefix, candidates):
+    """First signed pair (a, b) with sign(a) sign(b) g[|a|][|b|] = +1."""
     signed = signed_elements(candidates)
     for a in signed:
         for b in signed:
-            if _signed_value(g, a, b) == 1:
+            if g[abs(a)][abs(b)] == (1 if (a > 0) == (b > 0) else -1):
                 return (a, b)
     raise ConstructionError(f"prefix {prefix} has no positive completion")
 
 
 def _rank2_atoms(m):
+    """Atoms in order, each pivot's first successors: the elements v
+    with (pivot, v) positive and no such y with (v, y) negative.  The
+    signed elements y with (v, y) positive are kept as bit masks."""
     signed = signed_elements(m.n)
     g = pair_table(m, ())
-    tab = {}
-    for a in range(1, m.n + 1):
-        for b in range(1, m.n + 1):
-            tab[(a, b)] = tab[(-a, -b)] = g[a][b]
-            tab[(a, -b)] = tab[(-a, b)] = -g[a][b]
+    bit = {v: 1 << i for i, v in enumerate(signed)}
+    plus = {s * a: sum(bit[s * g[a][b] * b] for b in range(1, m.n + 1) if g[a][b])
+            for a in range(1, m.n + 1) for s in (1, -1)}
 
     def atom(pivot):
-        plus = [y for y in signed if tab[(pivot, y)] == 1]
-        return frozenset(
-            v for v in plus if all(tab[(v, y)] >= 0 for y in plus)
-        )
+        after = plus[pivot]
+        return frozenset(v for v in signed
+                         if after & bit[v] and not after & plus[-v])
 
-    e = 1
     atoms = []
-    cur = atom(e)
+    cur = atom(1)
     while True:
         if not cur:
             raise ConstructionError("rank 2 construction produced an empty atom")
         atoms.append(cur)
-        if e in cur:
+        if 1 in cur:
             break
         if len(atoms) > 4 * m.n + 4:
             raise ConstructionError("rank 2 construction does not close up")
@@ -575,9 +582,7 @@ def minor_hls(x, delete=(), contract=()):
     if delete:
         m, report = chirotope.delete(m, m.ids(delete))
         if not report.ok:
-            raise DeletionError(
-                "deletion does not leave a chirotope:\n" + str(report)
-            )
+            raise DeletionError("deletion does not leave a chirotope:\n" + str(report))
     if contract:
         m = chirotope.contract(m, m.ids(contract))
     return from_chirotope(m)

@@ -189,6 +189,13 @@ def literal_key(x, rename=None):
     return _canon(x, rename=rename)
 
 
+def literal_negation(x):
+    """The key of x's negation, read off x's data: rank 1 negates every
+    element, rank 2 reverses the cyclic order, higher ranks negate every
+    Z.  Compare it with literal_key of a computed negation."""
+    return _canon(x, negated=True)
+
+
 def _encoding(x):
     if x.rank == 1:
         return (1, tuple(sorted(x.chosen, key=_signed_key)))

@@ -36,6 +36,7 @@ from omkit import (
     minor_hls,
     parse_chi,
 )
+from omkit import chirotope
 
 TRIANGLE = [(1, 0), (0, 1), (-1, 1)]
 FRAME4 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
@@ -120,6 +121,24 @@ class TestStorage:
         for kw in ("delete", "contract"):
             with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9, 8\]$"):
                 minor_hls(HLRank2([{1}, {2}, {-1}, {-2}]), **{kw: (9, 8)})
+
+
+class TestSizeLimits:
+    def test_absurd_size_refused_before_allocation(self):
+        # C(60, 30) is about 1.2e17: refused from the count alone
+        with pytest.raises(ValueError, match=r"C\(60, 30\)"):
+            SignMap(30, 60)
+        with pytest.raises(ValueError, match="past the limit"):
+            from_vectors([(1, k, k * k) for k in range(200)])
+
+    def test_layout_cache_is_bounded(self):
+        cache = chirotope._layout.cache_info()
+        # every (n, r) with r <= 5 and n <= 9 that from_chirotope can touch
+        assert cache.maxsize >= sum(10 - r for r in range(1, 6))
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                SignMap(r, n)
+        assert chirotope._layout.cache_info().currsize <= cache.maxsize
 
 
 class TestCheck:

@@ -292,6 +292,14 @@ class TestRepresentations:
         with pytest.raises(ArrangementError):
             represent_rank2(HLRank2([{1}, {1, 2}, {-1}, {-1, -2}]))
 
+    def test_rank2_odd_period(self):
+        with pytest.raises(ArrangementError, match="period must be even"):
+            represent_rank2(HLRank2([{1}, {2}, {-1}]))
+
+    def test_rank2_missing_negation(self):
+        with pytest.raises(ArrangementError, match="not antipodal"):
+            represent_rank2(HLRank2([{1}, {2}]))
+
     def test_exhaustive_small_roundtrips(self):
         # every sequence on {1, 2} up to period 4
         import itertools

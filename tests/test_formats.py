@@ -146,6 +146,37 @@ class TestHls:
             parse_hls(text)
         assert str(exc.value) == "$.hyperlines[0].Z: rank 1, expected 2"
 
+    def test_bad_element_in_repeated_subtree(self):
+        # three hyperlines whose Y and Z texts are equal but for one bad
+        # element in the last Z: the error names that Z, not an earlier one
+        y = '{"rank": 1, "elements": ["1"]}'
+        z = '{"rank": 2, "atoms": [["2"], ["3"], ["~2"], ["~3"]]}'
+        bad = z.replace('["3"]', '["x"]')
+        hls = ", ".join(f'{{"Y": {y}, "Z": {zz}}}' for zz in (z, z, bad))
+        with pytest.raises(ParseError) as exc:
+            parse_hls(f'{{"rank": 3, "hyperlines": [{hls}]}}')
+        assert str(exc.value).startswith("$.hyperlines[2].Z.atoms[1][0]: bad element 'x'")
+
+    def test_equal_json_of_another_rank(self):
+        # hyperline[1].Y repeats the JSON list of hyperline[0].Z's atoms as
+        # its "elements", which are not element tokens
+        y = '{"rank": 1, "elements": ["1"]}'
+        z = '{"rank": 2, "atoms": [["2"], ["~2"]]}'
+        bad = '{"rank": 1, "elements": [["2"], ["~2"]]}'
+        with pytest.raises(ParseError) as exc:
+            parse_hls(f'{{"rank": 3, "hyperlines": [{{"Y": {y}, "Z": {z}}}, '
+                      f'{{"Y": {bad}, "Z": {z}}}]}}')
+        assert str(exc.value).startswith("$.hyperlines[1].Y.elements[0]: bad element")
+
+    def test_equal_components_are_one_object(self):
+        # at rank 5 each rank 1 and rank 2 component recurs under many Y
+        x = parse_hls(serialize_hls(from_chirotope(from_vectors(
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+             (0, 0, 0, 0, 1), (1, 2, 3, 4, 5)]))))
+        inner = [c for h in x.hyperlines for g in h.y.hyperlines for c in g]
+        assert len(inner) > 2 * len(set(inner))
+        assert len({id(c) for c in inner}) == len(set(inner))
+
     def test_serialization_order_is_stable(self):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         x = from_chirotope(m)

@@ -8,6 +8,7 @@ from helpers import (
     literal_display_order,
     literal_h2_h3_h4,
     literal_key,
+    literal_negation,
     random_fullrank_rows,
     rotations_equal,
 )
@@ -84,6 +85,26 @@ class TestNegation:
 
     def test_involution(self):
         x = HLRank2(HEXA)
+        assert negate_hls(negate_hls(x)) == x
+
+    @pytest.mark.parametrize("x", [
+        HLRank1({1, -2, 3}),
+        HLRank2(HEXA),
+        HLRank2([{1, 2}, {3}, {-1, -2}, {-3}]),
+        HLRank2([{1}, {2}, {-1}]),  # odd period
+        HLRank2([{1, 2}, {2}, {-1, -2}, {-2}]),  # an element in two atoms
+        HLRank2([{1}, {2}, {-2}, {3}]),  # 1 and 3 miss their antipodes
+        closed(3, hl({1}, [{2}, {3}, {-2}, {-3}]), hl({2}, [{3}, {1}, {-3}])),
+        HLHigher(3, [hl({1}, [{2}, {3}, {-2}, {-3}])]),  # no opposite
+    ], ids=["rank1", "hexagon", "parallel", "odd-period", "two-atoms",
+            "no-antipode", "rank3-odd-z", "rank3-one-sided"])
+    def test_matches_literal_negation(self, x):
+        assert literal_key(negate_hls(x)) == literal_negation(x)
+        assert negate_hls(negate_hls(x)) == x
+
+    def test_matches_literal_negation_rank5(self):
+        x = from_chirotope(from_vectors(random_fullrank_rows(random.Random(3), 7, 5)))
+        assert literal_key(negate_hls(x)) == literal_negation(x)
         assert negate_hls(negate_hls(x)) == x
 
     def test_matches_chirotope_negation(self):
@@ -440,11 +461,10 @@ def _mutated(rng, x):
     return HLHigher(x.rank, kept | pair)
 
 
-def test_matches_literal_scans():
-    # The indexed H2/H3/H4 scans report the same violations, witnesses
-    # and order as the quadratic scans in the literal oracle.
+def _mutated_corpus():
+    """150 seeded rank 3 and 4 sequences, n <= 6, each with up to two
+    hyperlines' Z permuted or merged."""
     rng = random.Random(20261017)
-    seen = collections.Counter()
     for _ in range(150):
         r = rng.choice((3, 4))
         n = rng.randint(r + 1, 6)
@@ -452,6 +472,14 @@ def test_matches_literal_scans():
         x = from_chirotope(from_vectors(rows))
         for _ in range(rng.randint(0, 2)):
             x = _mutated(rng, x)
+        yield x
+
+
+def test_matches_literal_scans():
+    # The indexed H2/H3/H4 scans report the same violations, witnesses
+    # and order as the quadratic scans in the literal oracle.
+    seen = collections.Counter()
+    for x in _mutated_corpus():
         assert x.hyperlines == tuple(literal_display_order(x))
         got = [(v.axiom, v.witness, v.message)
                for v in check_hyperline(x).violations]
@@ -459,3 +487,68 @@ def test_matches_literal_scans():
         seen.update(axiom for axiom, _, _ in got)
         seen["ok"] += not got
     assert seen["H2"] and seen["H3"] and seen["H4"] and seen["ok"], seen
+
+
+def test_negation_keeps_the_verdict():
+    # check_hyperline reuses a clean verdict for a component's negation;
+    # negating a sequence keeps its verdict and the axioms it violates
+    seen = collections.Counter()
+    for x in _mutated_corpus():
+        got, neg = check_hyperline(x), check_hyperline(negate_hls(x))
+        assert got.ok == neg.ok
+        assert collections.Counter(v.axiom for v in got.violations) == \
+            collections.Counter(v.axiom for v in neg.violations)
+        seen.update(v.axiom for v in got.violations)
+    assert seen["H2"] and seen["H3"] and seen["H4"], seen
+
+
+class TestSharedComponents:
+    """One malformed component object under two hyperlines is reported at
+    both paths, with the messages of the unshared check."""
+
+    def test_rank4_shared_z(self):
+        x = from_chirotope(from_vectors(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]))
+        h = x.hyperlines[0]
+        bad = HLRank2(list(h.z.atoms)[:-1])  # odd period
+        rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
+        x = HLHigher(4, rest + [Hyperline(h.y, bad), Hyperline(negate_hls(h.y), bad)])
+        odd = [("structure", f"hyperline[{i}].Z: {msg}") for i in (0, 1) for msg in (
+            "odd period 5",
+            "atoms do not cover both signed copies of every element (missing [-3])")]
+        assert [(v.axiom, v.message) for v in check_hyperline(x).violations] == odd + [
+            ("structure", "hyperline[0]: negated orientation is missing "
+                          "(sequences store both)")]
+
+    def test_rank5_shared_y(self):
+        x = from_chirotope(from_vectors([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                                         (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1)]))
+        h = x.hyperlines[0]
+        inner = h.y.hyperlines[0]
+        bad_y = HLHigher(3, [g for g in h.y.hyperlines if g != inner]
+                         + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
+        rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
+        x = HLHigher(5, rest + [Hyperline(bad_y, h.z), Hyperline(bad_y, negate_hls(h.z))])
+        missing = ("structure", "hyperline[0]: negated orientation is missing "
+                                "(sequences store both)")
+        odd = [[("structure", f"hyperline[{i}].Y.hyperline[0].Z: {msg}") for msg in (
+            "odd period 3",
+            "atoms do not cover both signed copies of every element (missing [-2])")]
+            for i in (0, 1)]
+        assert [(v.axiom, v.message) for v in check_hyperline(x).violations] == \
+            odd[0] + [missing] + odd[1] + [missing, missing]
+
+    def test_malformed_y_after_clean_ones(self):
+        # clean Ys of one shape come first; a malformed Y on the same number
+        # of elements later in display order is still checked and reported
+        x = from_chirotope(from_vectors(random_fullrank_rows(random.Random(8), 6, 5)))
+        h = x.hyperlines[-1]
+        inner = h.y.hyperlines[0]
+        bad_y = HLHigher(3, [g for g in h.y.hyperlines if g != inner]
+                         + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
+        x = HLHigher(5, [g for g in x.hyperlines if g != h] + [Hyperline(bad_y, h.z)])
+        at = [i for i, g in enumerate(x.hyperlines) if g.y is bad_y]
+        assert at and at[0] > 0
+        report = check_hyperline(x)
+        assert any(v.message.startswith(f"hyperline[{at[0]}].Y.hyperline[")
+                   for v in report.violations)
