@@ -4,78 +4,46 @@ Two interchangeable encodings with verified conversion between them:
 sign maps on ascending rank-subsets (chirotopes) and recursive hyperline
 sequences.  Plus realization from rational vectors, minors, and the cell
 census of the sphere arrangement.
+
+Exports are lazy: `import omkit` loads no submodule, and `omkit.<name>`
+imports the submodule that defines the name and looks it up there on
+every access, so a command loads only the layers it runs.
 """
 
-from .chirotope import (
-    MAX_CHECK_N,
-    MAX_CHECK_RANK,
-    OrientationClass,
-    SignMap,
-    VectorConfig,
-    check_chirotope,
-    classify_full,
-    contract,
-    delete,
-    det_sign,
-    enumerate_bodies,
-    find_deletable,
-    from_vectors,
-)
-from .core import (
-    CanonicalBasis,
-    normalize,
-    signed_elements,
-    signed_sort_key,
-    underlying,
-)
-from .errors import (
-    ArrangementError,
-    ConstructionError,
-    ContractionError,
-    DeletionError,
-    NoDeletableElement,
-    OmError,
-    ParseError,
-    RealizationError,
-    SizeGuardError,
-    ValidationReport,
-    Violation,
-)
-from .faces import (
-    ArrangementR1,
-    ArrangementR2,
-    FaceCensus,
-    canonical_arrangement,
-    cocircuits,
-    covectors,
-    face_census,
-    fm_realizable_topes,
-    read_rank1,
-    read_rank2,
-    represent_rank1,
-    represent_rank2,
-    topes,
-)
-from .formats import (
-    parse_chi,
-    parse_hls,
-    parse_vec,
-    render_rank2_svg,
-    serialize_chi,
-    serialize_hls,
-    serialize_vec,
-)
-from .hyperline import (
-    HLHigher,
-    HLRank1,
-    HLRank2,
-    Hyperline,
-    bases,
-    check_hyperline,
-    from_chirotope,
-    minor_hls,
-    negate_hls,
-    to_chirotope,
-)
+import importlib
 
+# the names each submodule exports
+_EXPORTS = {
+    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK OrientationClass SignMap VectorConfig "
+                 "check_chirotope classify_full contract delete det_sign "
+                 "enumerate_bodies find_deletable from_vectors",
+    "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
+    "errors": "ArrangementError ConstructionError ContractionError DeletionError "
+              "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
+              "ValidationReport Violation",
+    "faces": "ArrangementR1 ArrangementR2 FaceCensus canonical_arrangement cocircuits "
+             "covectors face_census fm_realizable_topes read_rank1 read_rank2 "
+             "represent_rank1 represent_rank2 topes",
+    "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
+               "serialize_hls serialize_vec",
+    "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
+                 "from_chirotope minor_hls negate_hls to_chirotope",
+}
+# name -> the submodule defining it; a submodule's own name maps to itself
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in [module, *names.split()]}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

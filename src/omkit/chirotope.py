@@ -29,7 +29,6 @@ import functools
 import itertools
 import os
 from enum import Enum
-from fractions import Fraction
 from math import comb, gcd
 
 from .core import normalize
@@ -306,6 +305,8 @@ class VectorConfig:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        from fractions import Fraction
+
         out = []
         for i, row in enumerate(rows, 1):
             coerced = []

@@ -22,7 +22,6 @@ from .chirotope import (
     guard_check_size,
 )
 from .errors import OmError, ParseError
-from .faces import face_census, topes
 from .formats import (
     parse_chi,
     parse_hls,
@@ -31,7 +30,9 @@ from .formats import (
     serialize_chi,
     serialize_hls,
 )
-from .hyperline import check_hyperline, from_chirotope, to_chirotope
+
+# hyperline and faces are imported by the commands that run them, so a
+# command loads only what it executes
 
 
 def _env_large() -> bool:
@@ -80,7 +81,11 @@ def _load(text, fmt):
 
 
 def _as_chirotope(kind, obj):
-    return to_chirotope(obj) if kind == "hls" else obj
+    if kind != "hls":
+        return obj
+    from .hyperline import to_chirotope
+
+    return to_chirotope(obj)
 
 
 def _emit_id_map(m: SignMap):
@@ -90,8 +95,11 @@ def _emit_id_map(m: SignMap):
 
 
 def _report(kind, obj):
-    check = check_hyperline if kind == "hls" else check_chirotope
-    return check(obj, _env_large())
+    if kind != "hls":
+        return check_chirotope(obj, _env_large())
+    from .hyperline import check_hyperline
+
+    return check_hyperline(obj, _env_large())
 
 
 def _validated(kind, obj):
@@ -123,8 +131,11 @@ def _cmd_convert(args):
         _emit_id_map(m)
         _write_text(args.output, serialize_chi(m))
     else:
-        x = obj if kind == "hls" else from_chirotope(obj)
-        _write_text(args.output, serialize_hls(x))
+        if kind == "chi":
+            from .hyperline import from_chirotope
+
+            obj = from_chirotope(obj)
+        _write_text(args.output, serialize_hls(obj))
     return 0
 
 
@@ -165,6 +176,8 @@ def _cmd_minor(args):
         m = contract(m, m.ids(_parse_id_list(args.contract)))
 
     if kind == "hls":
+        from .hyperline import from_chirotope
+
         _write_text(args.output, serialize_hls(from_chirotope(m)))
     else:
         _emit_id_map(m)
@@ -173,6 +186,8 @@ def _cmd_minor(args):
 
 
 def _cmd_faces(args):
+    from .faces import face_census, topes
+
     kind, obj = _load(_read_text(args.file), args.format)
     if _validated(kind, obj) is None:
         return 1
@@ -198,8 +213,11 @@ def _cmd_render(args):
         raise ParseError(f"render needs rank 2, got rank {obj.rank}")
     if _validated(kind, obj) is None:
         return 1
-    x = from_chirotope(obj) if kind == "chi" else obj
-    _write_text(args.output, render_rank2_svg(x))
+    if kind == "chi":
+        from .hyperline import from_chirotope
+
+        obj = from_chirotope(obj)
+    _write_text(args.output, render_rank2_svg(obj))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Exception types and the validation report shared by the axiom checkers."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class OmError(Exception):
@@ -48,23 +48,29 @@ class SizeGuardError(OmError):
     scans are exponential in rank; they can be lifted explicitly."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    witness: tuple
-    message: str
+class Violation(namedtuple("Violation", "axiom witness message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.axiom} violated: {self.message}"
 
 
-@dataclass
 class ValidationReport:
     """Outcome of an axiom check: every violated axiom with one witness each,
     plus non-fatal warnings (e.g. degenerate period bodies)."""
 
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    def __init__(self, violations=None, warnings=None):
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.violations, self.warnings) == (other.violations, other.warnings)
+
+    def __repr__(self):
+        return (f"ValidationReport(violations={self.violations!r}, "
+                f"warnings={self.warnings!r})")
 
     @property
     def ok(self):

@@ -10,7 +10,7 @@ Fourier-Motzkin feasibility cross-check for realized configurations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .chirotope import MAX_CHECK_N, SignMap, VectorConfig
@@ -30,33 +30,33 @@ def canonical_arrangement(d: int, sign: int) -> SignMap:
 
 # ------------------------------------------------- rank <= 2 representations
 
-@dataclass(frozen=True)
-class ArrangementR1:
-    """Points on S^0: each element sits on the + or - side."""
+class ArrangementR1(namedtuple("ArrangementR1", "sides")):
+    """Points on S^0: sides[i] is the side (+1 or -1) of element i+1."""
 
-    sides: tuple  # sides[i] is the sign of element i+1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sides or any(s not in (1, -1) for s in self.sides):
+    def __new__(cls, sides):
+        if not sides or any(s not in (1, -1) for s in sides):
             raise ValueError("sides must be a nonempty tuple of +-1")
+        return super().__new__(cls, sides)
 
 
-@dataclass(frozen=True)
-class ArrangementR2:
-    """Signed points on S^1 at 2k antipodally paired angular positions."""
+class ArrangementR2(namedtuple("ArrangementR2", "period positions")):
+    """Signed points on S^1 at 2k antipodally paired angular positions:
+    positions maps each signed element to its slot in range(period)."""
 
-    period: int
-    positions: dict  # signed element -> slot in range(period)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 2 or self.period % 2:
+    def __new__(cls, period, positions):
+        if period < 2 or period % 2:
             raise ValueError("period must be even and at least 2")
-        k = self.period // 2
-        for s, a in self.positions.items():
-            if not 0 <= a < self.period:
+        k = period // 2
+        for s, a in positions.items():
+            if not 0 <= a < period:
                 raise ValueError(f"slot {a} out of range")
-            if self.positions.get(-s) != (a + k) % self.period:
+            if positions.get(-s) != (a + k) % period:
                 raise ValueError(f"{s} and {-s} are not antipodal")
+        return super().__new__(cls, period, positions)
 
 
 def represent_rank1(x) -> ArrangementR1:
@@ -166,11 +166,8 @@ def topes(m: SignMap, allow_large=False) -> set:
     return {v for v in covectors(m, allow_large) if all(v)}
 
 
-@dataclass(frozen=True)
-class FaceCensus:
-    vertices: int
-    edges: int
-    facets: int
+class FaceCensus(namedtuple("FaceCensus", "vertices edges facets")):
+    __slots__ = ()
 
     @property
     def euler(self):

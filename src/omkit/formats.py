@@ -8,14 +8,11 @@ convert runs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from fractions import Fraction
 
 from .chirotope import SignMap, VectorConfig
 from .errors import ParseError
-from .hyperline import HLHigher, HLRank1, HLRank2, Hyperline
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 _CHAR_SIGN = {"+": 1, "0": 0, "-": -1}
@@ -113,60 +110,65 @@ def serialize_hls(x) -> str:
     return _hls_json(x, {}) + "\n"
 
 
-def _hls_from_obj(obj, path, memo):
-    """Sequence of a decoded .hls object.  memo holds one object per distinct
-    component, and each rank 1 or 2 one also under the repr of its JSON."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected an object")
-    rank = obj.get("rank")
-    if not isinstance(rank, int) or rank < 1:
-        raise ParseError(f"{path}: 'rank' must be a positive integer")
-    if rank <= 2:
-        raw = (rank, repr(obj.get("elements" if rank == 1 else "atoms")))
-        x = memo.get(raw)
-        if x is None:
-            x = _hls_leaf(obj, rank, path)
-            x = memo[raw] = memo.setdefault(x, x)
-        return x
-    hls = obj.get("hyperlines")
-    if not isinstance(hls, list) or not hls:
-        raise ParseError(f"{path}: rank {rank} needs a nonempty 'hyperlines' list")
-    parsed = []
-    for i, h in enumerate(hls):
-        at = f"{path}.hyperlines[{i}]"
-        if not isinstance(h, dict) or "Y" not in h or "Z" not in h:
-            raise ParseError(f"{at}: expected an object with 'Y' and 'Z'")
-        y = _hls_from_obj(h["Y"], at + ".Y", memo)
-        z = _hls_from_obj(h["Z"], at + ".Z", memo)
-        if y.rank != rank - 2:
-            raise ParseError(f"{at}.Y: rank {y.rank}, expected {rank - 2}")
-        if z.rank != 2:
-            raise ParseError(f"{at}.Z: rank {z.rank}, expected 2")
-        parsed.append(Hyperline(y, z))
-    x = HLHigher(rank, parsed)
-    return memo.setdefault(x, x)
-
-
-def _hls_leaf(obj, rank, path):
-    name = "elements" if rank == 1 else "atoms"
-    items = obj.get(name)
-    if not isinstance(items, list) or not items:
-        raise ParseError(f"{path}: rank {rank} needs a nonempty '{name}' list")
-    if rank == 1:
-        return HLRank1({_parse_element(t, f"{path}.elements", i)
-                        for i, t in enumerate(items)})
-    parsed = []
-    for i, atom in enumerate(items):
-        if not isinstance(atom, list) or not atom:
-            raise ParseError(f"{path}.atoms[{i}]: atom must be a nonempty list")
-        parsed.append({_parse_element(t, f"{path}.atoms", i, j)
-                       for j, t in enumerate(atom)})
-    return HLRank2(parsed)
-
-
 def parse_hls(text: str):
+    import json
+
+    from .hyperline import HLHigher, HLRank1, HLRank2, Hyperline
+
+    memo = {}
+
+    def sequence(obj, path):
+        """Sequence of a decoded .hls object.  memo holds one object per
+        distinct component, and each rank 1 or 2 one also under the repr
+        of its JSON."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: expected an object")
+        rank = obj.get("rank")
+        if not isinstance(rank, int) or rank < 1:
+            raise ParseError(f"{path}: 'rank' must be a positive integer")
+        if rank <= 2:
+            raw = (rank, repr(obj.get("elements" if rank == 1 else "atoms")))
+            x = memo.get(raw)
+            if x is None:
+                x = leaf(obj, rank, path)
+                x = memo[raw] = memo.setdefault(x, x)
+            return x
+        hls = obj.get("hyperlines")
+        if not isinstance(hls, list) or not hls:
+            raise ParseError(f"{path}: rank {rank} needs a nonempty 'hyperlines' list")
+        parsed = []
+        for i, h in enumerate(hls):
+            at = f"{path}.hyperlines[{i}]"
+            if not isinstance(h, dict) or "Y" not in h or "Z" not in h:
+                raise ParseError(f"{at}: expected an object with 'Y' and 'Z'")
+            y = sequence(h["Y"], at + ".Y")
+            z = sequence(h["Z"], at + ".Z")
+            if y.rank != rank - 2:
+                raise ParseError(f"{at}.Y: rank {y.rank}, expected {rank - 2}")
+            if z.rank != 2:
+                raise ParseError(f"{at}.Z: rank {z.rank}, expected 2")
+            parsed.append(Hyperline(y, z))
+        x = HLHigher(rank, parsed)
+        return memo.setdefault(x, x)
+
+    def leaf(obj, rank, path):
+        name = "elements" if rank == 1 else "atoms"
+        items = obj.get(name)
+        if not isinstance(items, list) or not items:
+            raise ParseError(f"{path}: rank {rank} needs a nonempty '{name}' list")
+        if rank == 1:
+            return HLRank1({_parse_element(t, f"{path}.elements", i)
+                            for i, t in enumerate(items)})
+        parsed = []
+        for i, atom in enumerate(items):
+            if not isinstance(atom, list) or not atom:
+                raise ParseError(f"{path}.atoms[{i}]: atom must be a nonempty list")
+            parsed.append({_parse_element(t, f"{path}.atoms", i, j)
+                           for j, t in enumerate(atom)})
+        return HLRank2(parsed)
+
     try:
-        return _hls_from_obj(json.loads(text), "$", {})
+        return sequence(json.loads(text), "$")
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
@@ -180,6 +182,8 @@ _FRAC_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)\Z")
 
 
 def _parse_cell(tok, line_no, col):
+    from fractions import Fraction
+
     tok = tok.strip()
     if _INT_RE.match(tok):
         return Fraction(int(tok))

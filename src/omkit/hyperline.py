@@ -324,14 +324,14 @@ def _check_rank2(x, report, path):
 
 
 def _check_higher(x, report, path, clean):
-    at = (path + ": ") if path else ""
+    at, pre = (path + ": ", path + ".") if path else ("", "")
     hls = x.hyperlines
     if not hls:
         report.add("structure", (path,), f"{at}no hyperlines")
         return
     structural_ok = True
     for i, h in enumerate(hls):
-        sub = f"{path}hyperline[{i}]" if not path else f"{path}.hyperline[{i}]"
+        sub = f"{pre}hyperline[{i}]"
         if getattr(h.y, "rank", None) != x.rank - 2:
             report.add("structure", (sub,),
                        f"{sub}: Y has rank {getattr(h.y, 'rank', '?')}, "
@@ -360,8 +360,8 @@ def _check_higher(x, report, path, clean):
         j = index.get(Hyperline(h.y.negation, h.z.negation)) \
             if opposite[i] is None else opposite[i]
         if j is None:
-            report.add("structure", (f"hyperline[{i}]",),
-                       f"hyperline[{i}]: negated orientation is missing "
+            report.add("structure", (f"{pre}hyperline[{i}]",),
+                       f"{pre}hyperline[{i}]: negated orientation is missing "
                        "(sequences store both)")
             structural_ok = False
             break
@@ -383,7 +383,7 @@ def _check_higher(x, report, path, clean):
                 continue
             if frozenset(p) not in on_ground and \
                     not any(g.issuperset(p) for g in on_ground):
-                report.add("structure", (p,), f"no hyperline contains {p}")
+                report.add("structure", (p,), f"{at}no hyperline contains {p}")
                 return
             covered.add(p)
 
@@ -400,7 +400,7 @@ def _check_higher(x, report, path, clean):
         j = next((j for j in sorted(near) if j != i and opposite[j] != i), None)
         if j is not None:
             report.add("H2", (i, j),
-                       f"hyperlines [{i}] and [{j}] share a base of Y "
+                       f"{at}hyperlines [{i}] and [{j}] share a base of Y "
                        "but are not equal or opposite")
             break
 
@@ -418,12 +418,12 @@ def _check_higher(x, report, path, clean):
                 a: prev.get(a, set()) | table.get(a, set())
                 for a in prev.keys() | table.keys()}
     if not completions:
-        report.add("structure", ((),), "no positively oriented bases")
+        report.add("structure", ((),), f"{at}no positively oriented bases")
         return
-    _h3_h4(x, completions, report)
+    _h3_h4(x, completions, report, at)
 
 
-def _h3_h4(x, completions, report):
+def _h3_h4(x, completions, report, at):
     """First H3 and first H4 witness, visiting prefixes yt + (a,) and then
     tuples in lexicographic order; each axiom is decided first, and its
     witness searched for only when it fails.  Every component is clean.
@@ -460,13 +460,13 @@ def _h3_h4(x, completions, report):
     if any(h3_base.values()):
         head, y, a = first(lambda h, y, a: h3_base[id(completions[h][y][a])])
         pref, tsup = head + (y, a), h3_base[id(completions[head][y][a])]
-        report.add("H3", (pref, tsup), f"no exchange: prefix {pref} admits "
+        report.add("H3", (pref, tsup), f"{at}no exchange: prefix {pref} admits "
                    f"no completion from base {tsup}")
     if len(set(x._cells)) != r * (r - 1) * len(x._bases):
         head, y, a = first(lost)
         h4 = head + (y, a, min(lost(head, y, a)))
         moved = h4[: r - 3] + (-h4[r - 2], h4[r - 3]) + h4[r - 1:]
-        report.add("H4", (h4,), f"base {h4} survives no swap across the "
+        report.add("H4", (h4,), f"{at}base {h4} survives no swap across the "
                    f"hyperline boundary (image {moved} is not positive)")
 
 

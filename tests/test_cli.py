@@ -1,3 +1,4 @@
+import importlib
 import multiprocessing
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import omkit
 from omkit import (
     enumerate_bodies,
     from_chirotope,
@@ -323,6 +325,24 @@ class TestEnumerate:
         assert "guard" in res.stderr
 
 
+def loaded_by(*argv):
+    """stdout, exit code and the set of loaded modules of `python -m omkit
+    ARGV`, run through runpy in a fresh interpreter so that the module
+    table can be read after the command."""
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('omkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, *sorted(sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True)
+    *out, last = res.stdout.splitlines(keepends=True)
+    exit_code, *modules = last.split()
+    return "".join(out), int(exit_code), set(modules)
+
+
 class TestImports:
     def test_import_leaves_numpy_unloaded(self):
         code = "import sys, omkit; print('numpy' in sys.modules)"
@@ -331,19 +351,77 @@ class TestImports:
         assert res.stdout == "False\n"
 
     def test_check_leaves_numpy_unloaded(self, frame4):
-        # the same steps as `python -m omkit check FILE`, then a look at
-        # what the run imported
-        code = (
-            "import runpy, sys\n"
-            "sys.argv = ['omkit', 'check', sys.argv[1]]\n"
-            "try:\n"
-            "    runpy.run_module('omkit', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as e:\n"
-            "    print(e.code, 'numpy' in sys.modules)\n"
-        )
-        res = subprocess.run([sys.executable, "-c", code, frame4],
+        out, code, modules = loaded_by("check", frame4)
+        assert (out, code, "numpy" in modules) == ("ok\n", 0, False)
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, omkit; print([m for m in sys.modules if m.startswith('omkit.')])"
+        res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
-        assert res.stdout == "ok\n0 False\n"
+        assert res.stdout == "[]\n"
+
+    @pytest.mark.parametrize("command, ext, unloaded", [
+        ("check", "chi", {"omkit.hyperline", "omkit.faces", "dataclasses", "json", "fractions"}),
+        ("check", "hls", {"omkit.faces"}),
+        ("faces", "chi", {"omkit.hyperline"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, tmp_path, command, ext, unloaded):
+        m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        path = tmp_path / f"frame4.{ext}"
+        path.write_text(serialize_chi(m) if ext == "chi" else serialize_hls(from_chirotope(m)))
+        _, code, modules = loaded_by(command, str(path))
+        assert code == 0 and "omkit.cli" in modules
+        assert not modules & unloaded
+
+
+# Every name `from omkit import *` bound while the package imported its
+# submodules eagerly, by the submodule defining it.
+EXPORTS = {
+    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK OrientationClass SignMap VectorConfig "
+                 "check_chirotope classify_full contract delete det_sign "
+                 "enumerate_bodies find_deletable from_vectors",
+    "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
+    "errors": "ArrangementError ConstructionError ContractionError DeletionError "
+              "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
+              "ValidationReport Violation",
+    "faces": "ArrangementR1 ArrangementR2 FaceCensus canonical_arrangement cocircuits "
+             "covectors face_census fm_realizable_topes read_rank1 read_rank2 "
+             "represent_rank1 represent_rank2 topes",
+    "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
+               "serialize_hls serialize_vec",
+    "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
+                 "from_chirotope minor_hls negate_hls to_chirotope",
+}
+
+
+class TestExports:
+    def test_every_export_resolves_to_its_submodule(self):
+        star = {}
+        exec("from omkit import *", star)
+        del star["__builtins__"]
+        expected = {}
+        for home, names in EXPORTS.items():
+            module = importlib.import_module(f"omkit.{home}")
+            expected[home] = module
+            expected.update((name, getattr(module, name)) for name in names.split())
+        assert star == expected
+        assert {name: getattr(omkit, name) for name in expected} == expected
+        assert set(expected) <= set(dir(omkit))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            omkit.no_such_name
+        with pytest.raises(ImportError):
+            exec("from omkit import no_such_name", {})
+
+    def test_export_follows_its_home_module(self, monkeypatch):
+        # perfbench/spans.py wraps a function where it is defined; the
+        # package must hand out the wrapper, not a copy bound at import
+        def marker():
+            pass
+
+        monkeypatch.setattr(importlib.import_module("omkit.faces"), "topes", marker)
+        assert omkit.topes is marker
 
 
 class TestRender:

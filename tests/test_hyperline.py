@@ -489,6 +489,20 @@ def test_matches_literal_scans():
     assert seen["H2"] and seen["H3"] and seen["H4"] and seen["ok"], seen
 
 
+def test_nested_reports_carry_the_path():
+    # a corpus sequence checked as the Y of a larger one reports the same
+    # H2/H3/H4 witnesses as alone, each message under the Y's path
+    z = HLRank2([{98}, {99}, {-98}, {-99}])
+    seen = collections.Counter()
+    for x in _mutated_corpus():
+        outer = HLHigher(x.rank + 2, [Hyperline(x, z)])
+        got = [(v.axiom, v.witness, v.message) for v in
+               check_hyperline(outer, True).violations if v.axiom in ("H2", "H3", "H4")]
+        assert got == [(a, w, "hyperline[0].Y: " + m) for a, w, m in literal_h2_h3_h4(x)]
+        seen.update(axiom for axiom, _, _ in got)
+    assert seen["H2"] and seen["H3"] and seen["H4"], seen
+
+
 def test_negation_keeps_the_verdict():
     # check_hyperline reuses a clean verdict for a component's negation;
     # negating a sequence keeps its verdict and the axioms it violates
@@ -529,14 +543,18 @@ class TestSharedComponents:
                          + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
         rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
         x = HLHigher(5, rest + [Hyperline(bad_y, h.z), Hyperline(bad_y, negate_hls(h.z))])
-        missing = ("structure", "hyperline[0]: negated orientation is missing "
-                                "(sequences store both)")
-        odd = [[("structure", f"hyperline[{i}].Y.hyperline[0].Z: {msg}") for msg in (
+        # each nested report names the path of the component it is about
+        missing = [("structure", (f"{at}hyperline[0]",),
+                    f"{at}hyperline[0]: negated orientation is missing "
+                    "(sequences store both)")
+                   for at in ("hyperline[0].Y.", "hyperline[1].Y.", "")]
+        odd = [[("structure", (f"hyperline[{i}].Y.hyperline[0].Z",),
+                 f"hyperline[{i}].Y.hyperline[0].Z: {msg}") for msg in (
             "odd period 3",
             "atoms do not cover both signed copies of every element (missing [-2])")]
             for i in (0, 1)]
-        assert [(v.axiom, v.message) for v in check_hyperline(x).violations] == \
-            odd[0] + [missing] + odd[1] + [missing, missing]
+        assert [(v.axiom, v.witness, v.message) for v in check_hyperline(x).violations] == \
+            odd[0] + missing[:1] + odd[1] + missing[1:]
 
     def test_malformed_y_after_clean_ones(self):
         # clean Ys of one shape come first; a malformed Y on the same number
