@@ -68,15 +68,15 @@ def _sniff(text: str) -> str:
 
 
 def _load(text, fmt):
-    """Parse input into ('chi'|'hls', object).  Vector input is size
-    guarded, then realized."""
+    """Parse input into ('chi'|'hls'|'vec', object).  Vector input is size
+    guarded, then realized to a SignMap."""
     fmt = fmt or _sniff(text)
     if fmt == "hls":
         return "hls", parse_hls(text)
     if fmt == "vec":
         cfg = parse_vec(text)
         guard_check_size(cfg.n, cfg.r, _env_large())
-        return "chi", from_vectors(cfg)
+        return "vec", from_vectors(cfg)
     return "chi", parse_chi(text)
 
 
@@ -104,6 +104,8 @@ def _report(kind, obj):
 
 def _validated(kind, obj):
     """Check the object; on violations print the report and return None."""
+    if kind == "vec":  # a realized configuration is a chirotope by construction
+        return obj
     report = _report(kind, obj)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -131,7 +133,7 @@ def _cmd_convert(args):
         _emit_id_map(m)
         _write_text(args.output, serialize_chi(m))
     else:
-        if kind == "chi":
+        if kind != "hls":
             from .hyperline import from_chirotope
 
             obj = from_chirotope(obj)
@@ -213,7 +215,7 @@ def _cmd_render(args):
         raise ParseError(f"render needs rank 2, got rank {obj.rank}")
     if _validated(kind, obj) is None:
         return 1
-    if kind == "chi":
+    if kind != "hls":
         from .hyperline import from_chirotope
 
         obj = from_chirotope(obj)

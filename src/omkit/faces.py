@@ -2,8 +2,9 @@
 
 Cocircuits are the signatures of the 0-cells, covectors of all cells, and
 in rank 3 the census (vertices, edges, facets) must satisfy Euler's
-relation V - E + F = 2 on the 2-sphere.  Everything here is exact sign
-bookkeeping on top of SignMap.evaluate; the only geometry is the optional
+relation V - E + F = 2 on the 2-sphere.  Cells are built from vertex stars,
+recursing on the cocircuits' zero sets.  All of it is exact sign
+bookkeeping on a SignMap's stored values; the only geometry is the optional
 Fourier-Motzkin feasibility cross-check for realized configurations.
 """
 
@@ -96,74 +97,93 @@ def read_rank2(arr: ArrangementR2):
 
 
 # ----------------------------------------------------------------- covectors
-
-def cocircuits(m: SignMap) -> set:
-    """Sign vectors of the 0-cells: each (r-1)-subset evaluated against
-    every element, normalized and returned with both signs."""
-    out = set()
-    elems = range(1, m.n + 1)
-    for b in itertools.combinations(elems, m.rank - 1):
-        vec = tuple(m.evaluate(b + (e,)) for e in elems)
-        first = next((v for v in vec if v), 0)
-        if first == 0:
-            continue
-        if first < 0:
-            vec = tuple(-v for v in vec)
-        out.add(vec)
-        out.add(tuple(-v for v in vec))
-    return out
+#
+# Every cell lies in the star of a vertex: the covectors of M|w, w a flat,
+# are 0 and D o Y, with D a cocircuit of M|w and Y a covector of M|z, z the
+# zero set of D in w.  The cocircuits of M|z are the nonzero restrictions of
+# those of M|w with minimal support, and on an independent flat every sign
+# pattern is a covector.  Sign vectors are (plus, minus) bit masks, bit i
+# standing for element i + 1.
 
 
-# The closure and the census work on sign vectors stored as (plus, minus)
-# bit masks, bit i standing for element i + 1.
-
-
-def _mask(v: tuple) -> tuple:
-    plus = minus = 0
-    for i, s in enumerate(v):
-        if s > 0:
-            plus |= 1 << i
-        elif s < 0:
-            minus |= 1 << i
-    return plus, minus
+def _cocircuit_masks(m):
+    """Both signs of each cocircuit, read straight from the stored values:
+    a nonzero basis s gives the cocircuit of s - {e} its sign at e, the
+    value of s - {e} followed by e."""
+    masks = {}
+    for s, v in m.items():
+        if v:
+            whole = sum(1 << e - 1 for e in s)
+            for e in reversed(s):
+                masks.setdefault(whole ^ 1 << e - 1, [0, 0])[v < 0] |= 1 << e - 1
+                v = -v
+    return {c for p, q in masks.values() for c in ((p, q), (q, p))}
 
 
 def _vector(plus: int, minus: int, n: int) -> tuple:
-    return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(n))
+    return tuple([1 if plus >> i & 1 else -1 if minus >> i & 1 else 0 for i in range(n)])
+
+
+def cocircuits(m: SignMap) -> set:
+    """Sign vectors of the 0-cells, with both signs."""
+    return {_vector(p, q, m.n) for p, q in _cocircuit_masks(m)}
+
+
+def _subsets(w):
+    s = w
+    while s:
+        yield s
+        s = (s - 1) & w
+    yield 0
+
+
+def _patterns(z, codims):
+    """Every sign pattern on an independent flat z, in sets by the number
+    of zeros, the first `codims` of them."""
+    return [{(p, s & ~p) for s in _subsets(z) if (z ^ s).bit_count() == c
+             for p in _subsets(s)} for c in range(codims)]
+
+
+def _restrict(parts, z):
+    """Cocircuits of M|z from those of a flat above it: the nonzero
+    restrictions whose supports are minimal."""
+    cut = {(p & z, q & z) for p, q in parts} - {(0, 0)}
+    supports = {p | q for p, q in cut}
+    return [(p, q) for p, q in cut
+            if not any(s | p | q == p | q != s for s in supports)]
+
+
+def _cells(m, allow_large, codims):
+    """Cells of m as masks in sets by the rank of their zero sets, from 0
+    (the topes) to r (the zero vector), the first `codims` of them.  Each
+    flat is expanded once; D o Y has the zero set of Y in M|z."""
+    if m.n > MAX_CHECK_N and not allow_large:
+        raise SizeGuardError(f"cells of {m.n} elements; pass allow_large to force")
+    memo = {}
+
+    def star(w, rank, parts):
+        out = ([set() for _ in range(rank)] + [{(0, 0)}])[:codims]
+        for dp, dq in parts:
+            z = w & ~(dp | dq)
+            if z not in memo:  # z has rank - 1 elements when independent
+                memo[z] = (star(z, rank - 1, _restrict(parts, z)) if z.bit_count() >= rank
+                           else _patterns(z, min(codims, rank)))
+            for cells, below in zip(out, memo[z]):
+                cells.update([(dp | p, dq | q) for p, q in below])
+        return out
+
+    return star((1 << m.n) - 1, m.rank, _cocircuit_masks(m))
 
 
 def covectors(m: SignMap, allow_large=False) -> set:
-    """Closure of the cocircuits under composition, plus zero.
-
-    Composing u with a cocircuit c changes u only on its zero set z, so u
-    is composed only with the distinct nonzero restrictions of the
-    cocircuits to z, computed once per zero set."""
-    if m.n > MAX_CHECK_N and not allow_large:
-        raise SizeGuardError(
-            f"covector closure on {m.n} elements; pass allow_large to force"
-        )
-    ccs = {_mask(c) for c in cocircuits(m)}
-    full = (1 << m.n) - 1
-    restrictions = {}
-    out = {(0, 0)} | ccs
-    frontier = list(ccs)
-    while frontier:
-        p, q = frontier.pop()
-        z = full & ~(p | q)
-        parts = restrictions.get(z)
-        if parts is None:
-            parts = {(cp & z, cq & z) for cp, cq in ccs} - {(0, 0)}
-            restrictions[z] = parts
-        for cp, cq in parts:
-            w = (p | cp, q | cq)
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return {_vector(p, q, m.n) for p, q in out}
+    """Every cell's sign vector, zero included."""
+    return {_vector(p, q, m.n) for cells in _cells(m, allow_large, m.rank + 1)
+            for p, q in cells}
 
 
 def topes(m: SignMap, allow_large=False) -> set:
-    return {v for v in covectors(m, allow_large) if all(v)}
+    """Sign vectors of the full-dimensional cells."""
+    return {_vector(p, q, m.n) for p, q in _cells(m, allow_large, 1)[0]}
 
 
 class FaceCensus(namedtuple("FaceCensus", "vertices edges facets")):
@@ -176,43 +196,21 @@ class FaceCensus(namedtuple("FaceCensus", "vertices edges facets")):
 
 def face_census(m: SignMap, allow_large=False) -> FaceCensus:
     """Count cells by dimension for a rank 3 chirotope and verify Euler's
-    relation.  A failure of the relation (or of the height structure) on a
-    map that passed validation would be a bug, hence RuntimeError."""
+    relation.  A failure of the relation on a map that passed validation
+    would be a bug, hence RuntimeError."""
     if m.rank != 3:
         raise ValueError("face census is defined for rank 3")
-    cells = {_mask(v) for v in covectors(m, allow_large)}
-    cells.discard((0, 0))
-    ccs = {_mask(c) for c in cocircuits(m)}
-    full = (1 << m.n) - 1
-
-    # u <= w iff u's signs are a subset of w's.  Cells are visited by
-    # growing support, so every cell below w already has its height.
-    height = {}
-    for wp, wq in sorted(cells, key=lambda c: (c[0] | c[1]).bit_count()):
-        hs = [h for (up, uq), h in height.items()
-              if not up & ~wp and not uq & ~wq]
-        height[wp, wq] = (max(hs) + 1) if hs else 0
-    v = sum(1 for h in height.values() if h == 0)
-    e = sum(1 for h in height.values() if h == 1)
-    f = sum(1 for h in height.values() if h == 2)
-    if v + e + f != len(cells):
-        raise RuntimeError("cell of height > 2 in a rank 3 arrangement")
-    if {w for w, h in height.items() if h == 0} != ccs:
-        raise RuntimeError("minimal cells are not exactly the cocircuits")
-    if any(h == 2 and w[0] | w[1] != full for w, h in height.items()):
-        raise RuntimeError("a facet has a zero coordinate")
-    census = FaceCensus(v, e, f)
+    facets, edges, vertices = map(len, _cells(m, allow_large, 3))
+    census = FaceCensus(vertices, edges, facets)
     if census.euler != 2:
-        raise RuntimeError(f"Euler relation fails: {v} - {e} + {f} != 2")
+        raise RuntimeError(f"Euler relation fails: {vertices} - {edges} + {facets} != 2")
     return census
 
 
 # ------------------------------------------------------ feasibility check
 
 def _normalize_row(row):
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
+    g = gcd(*row)
     if g > 1:
         row = tuple(v // g for v in row)
     return row

@@ -268,8 +268,9 @@ def literal_h2_h3_h4(x):
 
 # ------------------------------------------------------ literal covectors
 #
-# Read off the rows alone: cocircuits by cofactor determinants, then the
-# plain tuple closure and the height poset.  Calls nothing in omkit.faces.
+# Read off the rows alone, or the sign map through SignMap.evaluate:
+# cocircuits by determinants or evaluated tuples, then the plain tuple
+# closure and the height poset.  Calls nothing in omkit.faces.
 
 
 def _sign(x):
@@ -296,9 +297,21 @@ def literal_cocircuits(rows):
     return out
 
 
-def literal_covectors(rows):
-    ccs = literal_cocircuits(rows)
-    out = {(0,) * len(rows)} | ccs
+def signmap_cocircuits(m):
+    """Both signs of (m.evaluate(B + (e,)))_e for every (r-1)-subset B
+    that gives a nonzero vector."""
+    out = set()
+    for b in itertools.combinations(range(1, m.n + 1), m.rank - 1):
+        vec = tuple(m.evaluate(b + (e,)) for e in range(1, m.n + 1))
+        if any(vec):
+            out.add(vec)
+            out.add(tuple(-v for v in vec))
+    return out
+
+
+def literal_closure(ccs, n):
+    """The sign vectors ccs closed under composition, plus zero."""
+    out = {(0,) * n} | ccs
     frontier = list(ccs)
     while frontier:
         u = frontier.pop()
@@ -310,15 +323,34 @@ def literal_covectors(rows):
     return out
 
 
-def literal_census(rows):
-    """(vertices, edges, facets) of a rank 3 configuration: the height of
+def literal_covectors(rows):
+    return literal_closure(literal_cocircuits(rows), len(rows))
+
+
+def census_by_height(covectors):
+    """(vertices, edges, facets) of a rank 3 covector set: the height of
     each nonzero covector in the composition order, counted per height."""
-    cells = literal_covectors(rows) - {(0,) * len(rows)}
+    cells = set(covectors) - {(0,) * len(next(iter(covectors)))}
     height = {}
     for w in sorted(cells, key=lambda v: sum(1 for s in v if s)):
         hs = [h for u, h in height.items() if _compose(u, w) == w]
         height[w] = max(hs) + 1 if hs else 0
     return tuple(sum(1 for h in height.values() if h == d) for d in (0, 1, 2))
+
+
+def literal_census(rows):
+    return census_by_height(literal_covectors(rows))
+
+
+def zaslavsky_tope_count(rows):
+    """Tope count of a vector configuration by Zaslavsky's theorem: the
+    sum over subsets S of the rows of (-1)^(|S| - rank S)."""
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    total = 0
+    for k in range(len(rows) + 1):
+        for sub in itertools.combinations(rows, k):
+            total += -1 if (k - _rank_fraction(sub)) % 2 else 1
+    return total
 
 
 # ------------------------------------------------------ rank 2 by angles
@@ -380,6 +412,12 @@ def relabel_signmap(m, perm):
     return SignMap(m.rank, m.n, values)
 
 
+def reorient_signmap(m, e):
+    """SignMap with element e reoriented: every basis containing e
+    changes sign."""
+    return SignMap(m.rank, m.n, {s: -v if e in s else v for s, v in m.items()})
+
+
 # --------------------------------------------------------------- sampling
 
 def random_fullrank_rows(rng, n, r, bound=5):
@@ -397,6 +435,30 @@ def random_fullrank_rows(rng, n, r, bound=5):
         except Exception:
             continue
         return rows
+
+
+def rows_with_extra(rng, n, r, kind):
+    """n seeded rows spanning rank r, one of them the sum of two others
+    (kind "dependent") or a multiple of one, possibly negative
+    ("parallel")."""
+    rows = random_fullrank_rows(rng, n - 1, r, bound=3)
+    i, j = rng.sample(range(n - 1), 2)
+    if kind == "dependent":
+        extra = tuple(a + b for a, b in zip(rows[i], rows[j]))
+        if not any(extra):
+            extra = tuple(a - b for a, b in zip(rows[i], rows[j]))
+    else:
+        k = rng.choice((-2, -1, 2, 3))
+        extra = tuple(k * a for a in rows[i])
+    rows.insert(rng.randrange(n), extra)
+    return rows
+
+
+def uniform_rows(rng, n, r):
+    """n rows in general position in rank r: points on the moment curve at
+    distinct integers, each row with a random sign."""
+    return [tuple(s * t ** k for k in range(r))
+            for t, s in zip(rng.sample(range(-6, 7), n), rng.choices((1, -1), k=n))]
 
 
 def random_signmap(rng, n, r):

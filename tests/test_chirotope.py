@@ -304,6 +304,25 @@ class TestRealization:
         for n, r, rows in corpus[:40]:
             assert check_chirotope(from_vectors(rows)).ok
 
+    def test_repeated_directions_validate(self):
+        # the CLI does not check realized input again, relying on this:
+        # rows repeated with a positive (parallel) or negative
+        # (antiparallel) factor, or summing two others, still realize a
+        # chirotope with nothing to report
+        rng = random.Random(515)
+        for r in (2, 3, 4, 5):
+            for _ in range(10):
+                base = random_fullrank_rows(rng, rng.randint(r, 7), r, bound=3)
+                i, j = rng.sample(range(len(base)), 2)
+                extras = [tuple(k * a for a in base[i]) for k in (-2, -1, 2, 3)]
+                extras.append(tuple(a + b for a, b in zip(base[i], base[j])))
+                for extra in extras:
+                    if any(extra):
+                        rows = list(base)
+                        rows.insert(rng.randrange(len(rows) + 1), extra)
+                        report = check_chirotope(from_vectors(rows))
+                        assert not report.violations and not report.warnings, rows
+
     def test_det_sign_matches_laplace(self):
         rng = random.Random(3)
         for _ in range(200):

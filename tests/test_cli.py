@@ -261,6 +261,43 @@ class TestFaces:
         assert res.returncode == 1
 
 
+class TestRealizedInput:
+    # a .vec file realizes to a chirotope by construction, so only `check`
+    # runs the axiom check on it; every other command answers as on the
+    # .chi file of the same rows
+    COMMANDS = (["faces"], ["convert", "--to", "chi"], ["convert", "--to", "hls"],
+                ["minor", "--delete", "auto"], ["minor", "--contract", "1"],
+                ["minor", "--delete", "2", "--contract", "1"])
+
+    def test_vec_answers_as_chi(self, tmp_path, monkeypatch, capsys):
+        import random
+
+        from helpers import rows_with_extra
+        from omkit import cli
+
+        checked = []
+        check = cli.check_chirotope
+        monkeypatch.setattr(cli, "check_chirotope",
+                            lambda m, allow: checked.append(m) or check(m, allow))
+        rng = random.Random(404)
+        for r in (2, 3, 4, 5):
+            for kind in ("dependent", "parallel"):
+                rows = rows_with_extra(rng, rng.randint(r + 1, 8), r, kind)
+                vec, chi = tmp_path / "x.vec", tmp_path / "x.chi"
+                vec.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+                chi.write_text(serialize_chi(from_vectors(rows)))
+                for argv in self.COMMANDS:
+                    answers = []
+                    for path in (chi, vec):
+                        checked.clear()
+                        code = cli.main([argv[0], str(path), *argv[1:]])
+                        answers.append((code, capsys.readouterr(), len(checked)))
+                    assert answers[0][:2] == answers[1][:2], (argv, rows)
+                    assert (answers[0][2], answers[1][2]) == (1, 0)
+                assert cli.main(["check", str(vec)]) == 0
+                assert capsys.readouterr().out == "ok\n" and len(checked) == 1
+
+
 class TestEnumerate:
     def test_single_support(self):
         res = run_om("enumerate", "2", "2", "--bodies")

@@ -5,9 +5,17 @@ import pytest
 
 from helpers import (
     _compose,
+    census_by_height,
     literal_census,
+    literal_closure,
     literal_covectors,
     random_fullrank_rows,
+    relabel_signmap,
+    reorient_signmap,
+    rows_with_extra,
+    signmap_cocircuits,
+    uniform_rows,
+    zaslavsky_tope_count,
 )
 from omkit import (
     ArrangementError,
@@ -25,6 +33,7 @@ from omkit import (
     contract,
     covectors,
     delete,
+    enumerate_bodies,
     face_census,
     fm_realizable_topes,
     from_vectors,
@@ -97,6 +106,20 @@ class TestTopes:
         assert all(all(v) for v in ts)
         assert (1, 1, 1, 1) in ts
 
+    def test_size_guard_before_work(self, monkeypatch):
+        import omkit.faces
+
+        def refuse(m):
+            raise AssertionError("cocircuits read before the size guard")
+
+        monkeypatch.setattr(omkit.faces, "_cocircuit_masks", refuse)
+        m = from_vectors(moment_curve(10))
+        for fn in (topes, face_census):
+            with pytest.raises(SizeGuardError):
+                fn(m)
+            with pytest.raises(AssertionError, match="before the size guard"):
+                fn(m, allow_large=True)
+
     def test_missing_topes(self):
         # positive on all three axes forces a positive sum, so the pattern
         # (+,+,+,-) and its negation are the two missing ones
@@ -154,18 +177,8 @@ def _closure_configs(rng):
             n = rng.randint(r + 1, 8)
             if kind == "random":
                 yield kind, random_fullrank_rows(rng, n, r, bound=rng.choice((1, 3)))
-                continue
-            rows = random_fullrank_rows(rng, n - 1, r, bound=3)
-            i, j = rng.sample(range(n - 1), 2)
-            if kind == "dependent":
-                extra = tuple(a + b for a, b in zip(rows[i], rows[j]))
-                if not any(extra):
-                    extra = tuple(a - b for a, b in zip(rows[i], rows[j]))
             else:
-                k = rng.choice((-2, -1, 2, 3))
-                extra = tuple(k * a for a in rows[i])
-            rows.insert(rng.randrange(n), extra)
-            yield kind, rows
+                yield kind, rows_with_extra(rng, n, r, kind)
 
 
 class TestLiteralClosure:
@@ -188,6 +201,61 @@ class TestLiteralClosure:
         rows = [tuple(t ** k for k in range(5)) for t in range(1, 10)]
         count = len(topes(from_vectors(rows)))
         assert count == 2 * sum(comb(8, i) for i in range(5)) == 326
+
+
+class TestSignMapOracles:
+    # every chirotope at these sizes, against the closure of the cocircuits
+    # that SignMap.evaluate gives, so the stored-value reads are checked
+    @pytest.mark.parametrize("n, r, count", [(4, 2, 200), (4, 3, 72), (5, 4, 232)])
+    def test_every_small_chirotope(self, n, r, count):
+        _, _, bodies = enumerate_bodies(n, r, want_bodies=True)
+        assert len(bodies) == count
+        for body in bodies:
+            m = SignMap(r, n, ["-0+".index(c) - 1 for c in body])
+            expected = literal_closure(signmap_cocircuits(m), n)
+            assert cocircuits(m) == signmap_cocircuits(m), body
+            assert covectors(m) == expected, body
+            assert topes(m) == {v for v in expected if all(v)}, body
+            if r == 3:
+                assert tuple(face_census(m)) == census_by_height(expected), body
+
+
+class TestEquivariance:
+    # relabeling and reorientation act on the sign vectors the same way
+    # they act on the map; face_census exists at rank 3 only
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_relabel_and_reorient(self, r):
+        rng = random.Random(9000 + r)
+        m = from_vectors(rows_with_extra(rng, 9, r, "dependent"))
+        cells, tope_set = covectors(m), topes(m)
+        census = face_census(m) if r == 3 else None
+        perm = dict(zip(range(1, 10), rng.sample(range(1, 10), 9)))
+        inv = {f: e for e, f in perm.items()}
+        images = [(relabel_signmap(m, perm),
+                   lambda v: tuple(v[inv[f] - 1] for f in range(1, 10)))]
+        for e in rng.sample(range(1, 10), 3):
+            images.append((reorient_signmap(m, e),
+                           lambda v, e=e: v[:e - 1] + (-v[e - 1],) + v[e:]))
+        for image, act in images:
+            assert covectors(image) == {act(v) for v in cells}
+            assert topes(image) == {act(v) for v in tope_set}
+            if r == 3:
+                assert face_census(image) == census
+
+
+class TestZaslavsky:
+    # the tope count depends on the underlying matroid alone; this oracle
+    # reaches rank 5, past the Fourier-Motzkin guard
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_tope_count(self, r):
+        rng = random.Random(7000 + r)
+        for kind in ("uniform", "dependent", "parallel"):
+            for n in (r + 2, 9):
+                if kind == "uniform":
+                    rows = uniform_rows(rng, n, r)
+                else:
+                    rows = rows_with_extra(rng, n, r, kind)
+                assert len(topes(from_vectors(rows))) == zaslavsky_tope_count(rows), rows
 
 
 class TestFeasibility:
