@@ -2,7 +2,8 @@
 
 A SignMap stores its signs as one flat list in lexicographic subset order,
 which is the order of a .chi body, so parsing, serializing, realization,
-minors and enumeration all build or read that list directly.
+minors and enumeration all build or read that list directly.  Other
+modules read it through nonzero_supports, cocircuit_masks and pair_table/gather.
 
 check_chirotope verifies the alternating-map axioms directly: C1 (every
 element in a nonzero basis), C3 (basis exchange), and C4 (three-term sign
@@ -205,23 +206,33 @@ def uncovered(m):
     return [e for e in range(1, m.n + 1) if e not in covered]
 
 
+def cocircuit_masks(m):
+    """{mask of an (r-1)-subset B: [plus, minus]} for each B in a nonzero
+    basis, bit e-1 standing for element e: the signs of B + (e,), read
+    straight from the stored values.  A nonzero basis s gives the cocircuit
+    of s - {e} its sign at e, the value of s - {e} followed by e."""
+    masks = {}
+    for s, v in m.items():
+        if v:
+            whole = sum(1 << e - 1 for e in s)
+            for e in reversed(s):
+                masks.setdefault(whole ^ 1 << e - 1, [0, 0])[v < 0] |= 1 << e - 1
+                v = -v
+    return masks
+
+
 def _c3_violation(m):
     # One exchange candidate per dropped element suffices: the condition
-    # only sees the unsigned support of each tuple.  completes[rest] has a
-    # bit for each u making rest + {u} a nonzero basis; first_miss gives,
-    # per distinct mask, the index of the first t it misses.
-    nz = sorted(m.nonzero_supports())
-    completes = {}
-    for s in nz:
-        for i, x in enumerate(s):
-            rest = s[:i] + s[i + 1:]
-            completes[rest] = completes.get(rest, 0) | 1 << x
-    bits = [sum(1 << u for u in t) for t in nz]
+    # only sees the unsigned support of each tuple, the support of the
+    # cocircuit of s - {x}; first_miss gives, per distinct support, the
+    # index of the first t it misses.
+    nz = m.nonzero_supports()
+    bits = [sum(1 << u - 1 for u in t) for t in nz]
+    support = {rest: p | q for rest, (p, q) in cocircuit_masks(m).items()}
     first_miss = {mask: next((j for j, b in enumerate(bits) if not mask & b), len(nz))
-                  for mask in set(completes.values())}
-    for s in nz:
-        j, x = min((first_miss[completes[s[:i] + s[i + 1:]]], x)
-                   for i, x in enumerate(s))
+                  for mask in set(support.values())}
+    for s, whole in zip(nz, bits):
+        j, x = min((first_miss[support[whole ^ 1 << x - 1]], x) for x in s)
         if j < len(nz):
             return (s, x, nz[j])
     return None
@@ -458,28 +469,16 @@ def classify_full(m: SignMap) -> OrientationClass:
 
 # -------------------------------------------------------------- enumerate
 
-def _body_at(index, width, alphabet):
-    base = len(alphabet)
-    chars = []
-    for p in range(width - 1, -1, -1):
-        chars.append(alphabet[(index // base**p) % base])
-    return "".join(chars)
-
-
 def _enum_chunk(task):
     n, r, uniform, lo, hi, want_bodies = task
-    alphabet = "-+" if uniform else "-0+"
-    signs = {"-": -1, "0": 0, "+": 1}
-    width = comb(n, r)
+    values = (-1, 1) if uniform else (-1, 0, 1)
     count = 0
     bodies = []
-    for i in range(lo, hi):
-        body = _body_at(i, width, alphabet)
-        m = SignMap(r, n, [signs[c] for c in body])
-        if check_chirotope(m, allow_large=True).ok:
+    for signs in itertools.islice(itertools.product(values, repeat=comb(n, r)), lo, hi):
+        if check_chirotope(SignMap(r, n, list(signs)), allow_large=True).ok:
             count += 1
             if want_bodies:
-                bodies.append(body)
+                bodies.append("".join("-0+"[v + 1] for v in signs))
     return count, bodies
 
 

@@ -88,6 +88,14 @@ def _as_chirotope(kind, obj):
     return to_chirotope(obj)
 
 
+def _as_sequence(kind, obj):
+    if kind == "hls":
+        return obj
+    from .hyperline import from_chirotope
+
+    return from_chirotope(obj)
+
+
 def _emit_id_map(m: SignMap):
     if m.labels != tuple(range(1, m.n + 1)):
         pairs = " ".join(f"{i + 1}={lab}" for i, lab in enumerate(m.labels))
@@ -133,11 +141,7 @@ def _cmd_convert(args):
         _emit_id_map(m)
         _write_text(args.output, serialize_chi(m))
     else:
-        if kind != "hls":
-            from .hyperline import from_chirotope
-
-            obj = from_chirotope(obj)
-        _write_text(args.output, serialize_hls(obj))
+        _write_text(args.output, serialize_hls(_as_sequence(kind, obj)))
     return 0
 
 
@@ -178,9 +182,7 @@ def _cmd_minor(args):
         m = contract(m, m.ids(_parse_id_list(args.contract)))
 
     if kind == "hls":
-        from .hyperline import from_chirotope
-
-        _write_text(args.output, serialize_hls(from_chirotope(m)))
+        _write_text(args.output, serialize_hls(_as_sequence("chi", m)))
     else:
         _emit_id_map(m)
         _write_text(args.output, serialize_chi(m))
@@ -215,11 +217,7 @@ def _cmd_render(args):
         raise ParseError(f"render needs rank 2, got rank {obj.rank}")
     if _validated(kind, obj) is None:
         return 1
-    if kind != "hls":
-        from .hyperline import from_chirotope
-
-        obj = from_chirotope(obj)
-    _write_text(args.output, render_rank2_svg(obj))
+    _write_text(args.output, render_rank2_svg(_as_sequence(kind, obj)))
     return 0
 
 
@@ -304,13 +302,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OmError as e:

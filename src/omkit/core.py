@@ -12,7 +12,7 @@ to its canonical form: ascending support plus a single sign.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
 
 
 def underlying(x: int) -> int:
@@ -35,17 +35,16 @@ def signed_elements(elems) -> list[int]:
     return [x for e in elems for x in (e, -e)]
 
 
-class CanonicalBasis(NamedTuple):
+class CanonicalBasis(namedtuple("CanonicalBasis", "support sign")):
     """Canonical form of a non-degenerate oriented simplex."""
 
-    support: tuple
-    sign: int
+    __slots__ = ()
 
     def negate(self):
         return CanonicalBasis(self.support, -self.sign)
 
 
-def normalize(entries: Iterable[int]):
+def normalize(entries):
     """Canonical form of an oriented simplex, or None when degenerate.
 
     The sign is the parity of the permutation sorting the underlying

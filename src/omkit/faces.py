@@ -2,10 +2,10 @@
 
 Cocircuits are the signatures of the 0-cells, covectors of all cells, and
 in rank 3 the census (vertices, edges, facets) must satisfy Euler's
-relation V - E + F = 2 on the 2-sphere.  Cells are built from vertex stars,
-recursing on the cocircuits' zero sets.  All of it is exact sign
-bookkeeping on a SignMap's stored values; the only geometry is the optional
-Fourier-Motzkin feasibility cross-check for realized configurations.
+relation V - E + F = 2 on the 2-sphere.  Cells start from chirotope's
+cocircuit scan and are built from vertex stars, recursing on the cocircuits'
+zero sets.  All of it is exact sign bookkeeping; the only geometry is the
+optional Fourier-Motzkin feasibility cross-check for realized configurations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from collections import namedtuple
 from math import gcd
 
-from .chirotope import MAX_CHECK_N, SignMap, VectorConfig
+from .chirotope import MAX_CHECK_N, SignMap, VectorConfig, cocircuit_masks
 from .errors import ArrangementError, SizeGuardError
 
 
@@ -107,17 +107,8 @@ def read_rank2(arr: ArrangementR2):
 
 
 def _cocircuit_masks(m):
-    """Both signs of each cocircuit, read straight from the stored values:
-    a nonzero basis s gives the cocircuit of s - {e} its sign at e, the
-    value of s - {e} followed by e."""
-    masks = {}
-    for s, v in m.items():
-        if v:
-            whole = sum(1 << e - 1 for e in s)
-            for e in reversed(s):
-                masks.setdefault(whole ^ 1 << e - 1, [0, 0])[v < 0] |= 1 << e - 1
-                v = -v
-    return {c for p, q in masks.values() for c in ((p, q), (q, p))}
+    """Both signs of each cocircuit, as (plus, minus) masks."""
+    return {c for p, q in cocircuit_masks(m).values() for c in ((p, q), (q, p))}
 
 
 def _vector(plus: int, minus: int, n: int) -> tuple:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from . import chirotope
 from .chirotope import (SignMap, extendable_prefixes, gather, guard_check_size,
@@ -169,9 +169,11 @@ class HLRank2(_Sequence):
         return f"HLRank2({[list(a) for a in self.enc]})"
 
 
-class Hyperline(NamedTuple):
-    y: object  # rank r-2 sequence on the hyperline
-    z: object  # rank 2 sequence around it
+class Hyperline(namedtuple("Hyperline", "y z")):
+    """y: the rank r-2 sequence on the hyperline, z: the rank 2 sequence
+    around it."""
+
+    __slots__ = ()
 
 
 class HLHigher(_Sequence):
@@ -226,11 +228,6 @@ class HLHigher(_Sequence):
 
     def __repr__(self):
         return f"HLHigher(rank={self.rank}, hyperlines={len(self.hyperlines)})"
-
-
-def negate_hls(x):
-    """The negated sequence, derived once per object and kept on it."""
-    return x.negation
 
 
 def encoding(x):

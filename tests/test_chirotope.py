@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     det_laplace,
     literal_axiom_check,
+    literal_c1,
     literal_c3,
     literal_c3_witness,
     literal_c4,
@@ -15,6 +16,7 @@ from helpers import (
     random_fullrank_rows,
     random_signmap,
     relabel_signmap,
+    signmap_cocircuits,
 )
 from omkit import (
     ContractionError,
@@ -239,6 +241,39 @@ class TestCheck:
             assert found.get("C4") == literal_c4_witness(m), dict(m.items())
             for axiom in seen:
                 seen[axiom] += axiom in found
+        assert min(seen.values()) >= 20, seen
+
+    def test_cocircuit_scan_matches_evaluated_tuples(self):
+        # C3 and the cell layer read chirotope.cocircuit_masks, also on maps
+        # that fail the axioms: each key is the mask of an (r-1)-subset B,
+        # its value the signs of (m.evaluate(B + (e,)))_e, bit e-1 for e
+        rng = random.Random(5150)
+        seen = {"C1": 0, "C3": 0}
+        for i in range(300):
+            r = rng.randint(1, 5)
+            n = rng.randint(r, 8)
+            if i % 3 == 2:
+                m = random_signmap(rng, n, r)
+            else:
+                m = from_vectors(random_fullrank_rows(rng, n, r, rng.choice((1, 2, 5))))
+                if i % 3 == 1:
+                    vals = dict(m.items())
+                    for s in rng.sample(sorted(vals), rng.randint(1, min(3, len(vals)))):
+                        vals[s] = rng.choice([v for v in (-1, 0, 1) if v != vals[s]])
+                    m = SignMap(r, n, vals)
+            masks = chirotope.cocircuit_masks(m)
+            vectors = {}
+            for b, (p, q) in masks.items():
+                vectors[b] = tuple(1 if p >> k & 1 else -1 if q >> k & 1 else 0
+                                   for k in range(n))
+            both = set(vectors.values()) | {tuple(-v for v in c) for c in vectors.values()}
+            assert both == signmap_cocircuits(m), dict(m.items())
+            for b, c in vectors.items():
+                rest = tuple(e for e in range(1, n + 1) if b >> e - 1 & 1)
+                assert len(rest) == r - 1
+                assert c == tuple(m.evaluate(rest + (e,)) for e in range(1, n + 1))
+            seen["C1"] += not literal_c1(m)
+            seen["C3"] += not literal_c3(m)
         assert min(seen.values()) >= 20, seen
 
     def test_single_basis_maps(self):

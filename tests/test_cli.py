@@ -397,6 +397,16 @@ class TestImports:
                              capture_output=True, text=True)
         assert res.stdout == "[]\n"
 
+    def test_library_leaves_typing_unloaded(self):
+        # -S: site's .pth files may import typing themselves, so the path
+        # to omkit is passed explicitly
+        code = ("import sys, omkit.cli, omkit.hyperline, omkit.faces; "
+                "print('typing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(omkit.__file__)))
+        res = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, env=env)
+        assert res.stdout == "False\n"
+
     @pytest.mark.parametrize("command, ext, unloaded", [
         ("check", "chi", {"omkit.hyperline", "omkit.faces", "dataclasses", "json", "fractions"}),
         ("check", "hls", {"omkit.faces"}),
@@ -427,7 +437,7 @@ EXPORTS = {
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
-                 "from_chirotope minor_hls negate_hls to_chirotope",
+                 "from_chirotope minor_hls to_chirotope",
 }
 
 

@@ -29,7 +29,6 @@ from omkit import (
     from_chirotope,
     from_vectors,
     minor_hls,
-    negate_hls,
     to_chirotope,
 )
 
@@ -44,7 +43,7 @@ def closed(rank, *hls):
     out = []
     for h in hls:
         out.append(h)
-        out.append(Hyperline(negate_hls(h.y), negate_hls(h.z)))
+        out.append(Hyperline(h.y.negation, h.z.negation))
     return HLHigher(rank, out)
 
 
@@ -77,15 +76,15 @@ class TestStructures:
 
 class TestNegation:
     def test_rank1(self):
-        assert negate_hls(HLRank1({1, -2})) == HLRank1({-1, 2})
+        assert HLRank1({1, -2}).negation == HLRank1({-1, 2})
 
     def test_rank2_example(self):
         x = HLRank2([{1}, {2}, {-1}, {-2}])
-        assert negate_hls(x) == HLRank2([{1}, {-2}, {-1}, {2}])
+        assert x.negation == HLRank2([{1}, {-2}, {-1}, {2}])
 
     def test_involution(self):
         x = HLRank2(HEXA)
-        assert negate_hls(negate_hls(x)) == x
+        assert x.negation.negation == x
 
     @pytest.mark.parametrize("x", [
         HLRank1({1, -2, 3}),
@@ -99,19 +98,19 @@ class TestNegation:
     ], ids=["rank1", "hexagon", "parallel", "odd-period", "two-atoms",
             "no-antipode", "rank3-odd-z", "rank3-one-sided"])
     def test_matches_literal_negation(self, x):
-        assert literal_key(negate_hls(x)) == literal_negation(x)
-        assert negate_hls(negate_hls(x)) == x
+        assert literal_key(x.negation) == literal_negation(x)
+        assert x.negation.negation == x
 
     def test_matches_literal_negation_rank5(self):
         x = from_chirotope(from_vectors(random_fullrank_rows(random.Random(3), 7, 5)))
-        assert literal_key(negate_hls(x)) == literal_negation(x)
-        assert negate_hls(negate_hls(x)) == x
+        assert literal_key(x.negation) == literal_negation(x)
+        assert x.negation.negation == x
 
     def test_matches_chirotope_negation(self):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         x = from_chirotope(m)
-        assert to_chirotope(negate_hls(x)) == m.negate()
-        assert negate_hls(x) == from_chirotope(m.negate())
+        assert to_chirotope(x.negation) == m.negate()
+        assert x.negation == from_chirotope(m.negate())
 
 
 class TestCheck:
@@ -208,7 +207,7 @@ class TestCheck:
         tampered = set()
         for h in good.hyperlines:
             if h.y.ground == {1}:
-                tampered.add(Hyperline(h.y, negate_hls(h.z)))
+                tampered.add(Hyperline(h.y, h.z.negation))
             else:
                 tampered.add(h)
         bad = HLHigher(3, tampered)
@@ -454,10 +453,10 @@ def _mutated(rng, x):
     the new pair replaces the old one or joins it."""
     h = rng.choice(sorted(x.hyperlines, key=repr))
     new = Hyperline(h.y, _mutated_z(rng, h.z))
-    pair = {new, Hyperline(negate_hls(new.y), negate_hls(new.z))}
+    pair = {new, Hyperline(new.y.negation, new.z.negation)}
     kept = set(x.hyperlines)
     if rng.random() < 0.7:
-        kept -= {h, Hyperline(negate_hls(h.y), negate_hls(h.z))}
+        kept -= {h, Hyperline(h.y.negation, h.z.negation)}
     return HLHigher(x.rank, kept | pair)
 
 
@@ -508,7 +507,7 @@ def test_negation_keeps_the_verdict():
     # negating a sequence keeps its verdict and the axioms it violates
     seen = collections.Counter()
     for x in _mutated_corpus():
-        got, neg = check_hyperline(x), check_hyperline(negate_hls(x))
+        got, neg = check_hyperline(x), check_hyperline(x.negation)
         assert got.ok == neg.ok
         assert collections.Counter(v.axiom for v in got.violations) == \
             collections.Counter(v.axiom for v in neg.violations)
@@ -526,7 +525,7 @@ class TestSharedComponents:
         h = x.hyperlines[0]
         bad = HLRank2(list(h.z.atoms)[:-1])  # odd period
         rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
-        x = HLHigher(4, rest + [Hyperline(h.y, bad), Hyperline(negate_hls(h.y), bad)])
+        x = HLHigher(4, rest + [Hyperline(h.y, bad), Hyperline(h.y.negation, bad)])
         odd = [("structure", f"hyperline[{i}].Z: {msg}") for i in (0, 1) for msg in (
             "odd period 5",
             "atoms do not cover both signed copies of every element (missing [-3])")]
@@ -542,7 +541,7 @@ class TestSharedComponents:
         bad_y = HLHigher(3, [g for g in h.y.hyperlines if g != inner]
                          + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
         rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
-        x = HLHigher(5, rest + [Hyperline(bad_y, h.z), Hyperline(bad_y, negate_hls(h.z))])
+        x = HLHigher(5, rest + [Hyperline(bad_y, h.z), Hyperline(bad_y, h.z.negation)])
         # each nested report names the path of the component it is about
         missing = [("structure", (f"{at}hyperline[0]",),
                     f"{at}hyperline[0]: negated orientation is missing "
