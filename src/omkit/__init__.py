@@ -14,16 +14,15 @@ import importlib
 
 # the names each submodule exports
 _EXPORTS = {
-    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK OrientationClass SignMap VectorConfig "
-                 "check_chirotope classify_full contract delete det_sign "
-                 "enumerate_bodies find_deletable from_vectors",
+    "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
+                   "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
+    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
+                 "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
               "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
               "ValidationReport Violation",
-    "faces": "ArrangementR1 ArrangementR2 FaceCensus canonical_arrangement cocircuits "
-             "covectors face_census fm_realizable_topes read_rank1 read_rank2 "
-             "represent_rank1 represent_rank2 topes",
+    "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "

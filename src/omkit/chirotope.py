@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from enum import Enum
 from math import comb, gcd
 
 from .core import normalize
@@ -44,13 +43,8 @@ from .errors import (
 
 MAX_CHECK_N = 9
 MAX_CHECK_RANK = 5
-MAX_ENUM_SUPPORTS = 20
+MAX_ENUM_MAPS = 3**10  # sign maps one enumeration may scan
 MAX_SIGNS = 10**6  # a SignMap of more signs is refused before allocation
-
-
-class OrientationClass(Enum):
-    PLUS = 1
-    MINUS = -1
 
 
 class SignMap:
@@ -311,13 +305,12 @@ def _first_c4_witness(g, prefix, free):
 # ------------------------------------------------------------- realization
 
 class VectorConfig:
-    """Configuration of nonzero rational row vectors, all of width r."""
+    """Configuration of nonzero rational row vectors, all of width r.  Int
+    entries stay int, so integer rows never import the slow fractions."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        from fractions import Fraction
-
         out = []
         for i, row in enumerate(rows, 1):
             coerced = []
@@ -326,7 +319,11 @@ class VectorConfig:
                     raise TypeError(
                         f"row {i}: floats are not exact; use int or Fraction"
                     )
-                coerced.append(x if isinstance(x, Fraction) else Fraction(x))
+                if not isinstance(x, int):
+                    from fractions import Fraction
+
+                    x = Fraction(x)
+                coerced.append(x)
             out.append(tuple(coerced))
         if not out:
             raise ValueError("need at least one row")
@@ -457,16 +454,6 @@ def contract(m: SignMap, fixed) -> SignMap:
     return SignMap(m.rank - k, len(keep), signs, tuple(m.label_of(e) for e in keep))
 
 
-def classify_full(m: SignMap) -> OrientationClass:
-    """Which of the two chirotopes on n = r elements this is."""
-    if m.n != m.rank:
-        raise ValueError(f"defined only for n = rank (got n={m.n}, rank={m.rank})")
-    v = m.value(tuple(range(1, m.rank + 1)))
-    if v == 0:
-        raise ValueError("not a chirotope: the only possible basis has value 0")
-    return OrientationClass.PLUS if v > 0 else OrientationClass.MINUS
-
-
 # -------------------------------------------------------------- enumerate
 
 def _enum_chunk(task):
@@ -491,12 +478,15 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
     if n < 1 or r < 1 or n < r:
         raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
     width = comb(n, r)
-    if width > MAX_ENUM_SUPPORTS and not allow_large:
-        raise SizeGuardError(
-            f"enumeration over {width} supports is guarded "
-            f"(limit {MAX_ENUM_SUPPORTS}); lift explicitly to proceed"
-        )
     base = 2 if uniform else 3
+    # 2**width passes the limit once width reaches the limit's bit length,
+    # so a huge width is refused before its power is built
+    if not allow_large and (width >= MAX_ENUM_MAPS.bit_length()
+                            or base**width > MAX_ENUM_MAPS):
+        raise SizeGuardError(
+            f"enumeration over {base}^{width} sign maps is guarded "
+            f"(limit {MAX_ENUM_MAPS}); lift explicitly to proceed"
+        )
     total = base**width
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

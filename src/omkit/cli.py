@@ -7,29 +7,15 @@ Exit codes: 0 success (input valid where validity is the question),
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-from .chirotope import (
-    SignMap,
-    check_chirotope,
-    contract,
-    delete,
-    enumerate_bodies,
-    find_deletable,
-    from_vectors,
-    guard_check_size,
-)
+from .chirotope import (SignMap, check_chirotope, contract, delete, enumerate_bodies,
+                        find_deletable, from_vectors, guard_check_size)
 from .errors import OmError, ParseError
-from .formats import (
-    parse_chi,
-    parse_hls,
-    parse_vec,
-    render_rank2_svg,
-    serialize_chi,
-    serialize_hls,
-)
+from .formats import (parse_chi, parse_hls, parse_vec, render_rank2_svg, serialize_chi,
+                      serialize_hls)
 
 # hyperline and faces are imported by the commands that run them, so a
 # command loads only what it executes
@@ -200,14 +186,12 @@ def _cmd_faces(args):
         c = face_census(m, _env_large())
         print(f"V={c.vertices} E={c.edges} F={c.facets} euler={c.euler}")
         return 0
-    print(
-        f"face census applies to rank 3 only (rank {m.rank}); listing topes",
-        file=sys.stderr,
-    )
+    print(f"face census applies to rank 3 only (rank {m.rank}); listing topes",
+          file=sys.stderr)
     ts = sorted(topes(m, _env_large()))
-    for t in ts:
-        print("".join("+" if v > 0 else "-" for v in t))
-    print(f"topes={len(ts)}")
+    # one write: with unbuffered stdout each print is a system call
+    sys.stdout.write("".join("".join("+" if v > 0 else "-" for v in t) + "\n" for t in ts)
+                     + f"topes={len(ts)}\n")
     return 0
 
 
@@ -225,83 +209,95 @@ def _cmd_render(args):
 
 def _cmd_enumerate(args):
     count, total, bodies = enumerate_bodies(
-        args.n,
-        args.r,
-        uniform=args.uniform,
-        jobs=args.jobs,
-        want_bodies=args.bodies,
-        allow_large=_env_large(),
-    )
-    for b in bodies:
-        print(b)
-    print(f"valid={count} total={total}")
+        args.n, args.r, uniform=args.uniform, jobs=1 if args.jobs is None else args.jobs,
+        want_bodies=args.bodies, allow_large=_env_large())
+    sys.stdout.write("".join(b + "\n" for b in bodies) + f"valid={count} total={total}\n")
     return 0
 
 
 # ------------------------------------------------------------------- main
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="om",
-        description="Exact tools for oriented matroids: validate, convert, "
-        "take minors, count faces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_IN = {"--format": ("chi", "hls", "vec")}
+_OUT = {**_IN, "--output": str}
+# command: handler, positionals, options.  A value must be one of its
+# choices or convert by its type; None marks a flag.  "-o" spells
+# "--output", and convert's "--to" is required.
+_COMMANDS = {
+    "check": (_cmd_check, {"file": str}, _IN),
+    "convert": (_cmd_convert, {"file": str}, {**_OUT, "--to": ("chi", "hls")}),
+    "minor": (_cmd_minor, {"file": str}, {**_OUT, "--delete": str, "--contract": str}),
+    "faces": (_cmd_faces, {"file": str}, _IN),
+    "enumerate": (_cmd_enumerate, {"n": int, "r": int},
+                  {"--uniform": None, "--bodies": None, "--jobs": int}),
+    "render": (_cmd_render, {"file": str}, _OUT),
+}
+USAGE = """\
+usage: om check FILE [--format chi|hls|vec]
+       om convert FILE --to chi|hls [--format chi|hls|vec] [-o PATH]
+       om minor FILE [--delete IDS|auto] [--contract IDS] [--format chi|hls|vec] [-o PATH]
+       om faces FILE [--format chi|hls|vec]
+       om enumerate N R [--uniform] [--bodies] [--jobs N]
+       om render FILE [--format chi|hls|vec] [-o PATH]
+FILE - reads stdin; IDS are comma separated element ids, auto the smallest deletable.
+"""
 
-    def add_input(p):
-        p.add_argument("file", help="input path, or - for stdin")
-        p.add_argument(
-            "--format",
-            choices=("chi", "hls", "vec"),
-            help="input format (default: sniff)",
-        )
 
-    p = sub.add_parser("check", help="validate against the axioms")
-    add_input(p)
-    p.set_defaults(fn=_cmd_check)
+class _UsageError(Exception):
+    pass
 
-    p = sub.add_parser("convert", help="convert between representations")
-    add_input(p)
-    p.add_argument("--to", choices=("chi", "hls"), required=True)
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.set_defaults(fn=_cmd_convert)
 
-    p = sub.add_parser("minor", help="delete and/or contract elements")
-    add_input(p)
-    p.add_argument(
-        "--delete",
-        metavar="IDS|auto",
-        help="comma separated element ids, or 'auto' for the smallest "
-        "element whose deletion validates",
-    )
-    p.add_argument("--contract", metavar="IDS", help="comma separated element ids")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.set_defaults(fn=_cmd_minor)
+def _value(name, kind, raw):
+    try:
+        if not isinstance(kind, tuple):
+            return kind(raw)
+        if raw in kind:
+            return raw
+    except ValueError:
+        pass
+    raise _UsageError(f"invalid {name} {raw!r}")
 
-    p = sub.add_parser("faces", help="face census (rank 3) or tope list")
-    add_input(p)
-    p.set_defaults(fn=_cmd_faces)
 
-    p = sub.add_parser("enumerate", help="count valid sign assignments")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--uniform", action="store_true", help="no zero values")
-    p.add_argument("--bodies", action="store_true", help="print each valid body")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("render", help="SVG diagram of a rank 2 sequence")
-    add_input(p)
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.set_defaults(fn=_cmd_render)
-
-    return parser
+def _scan(argv):
+    """Handler and arguments of a command line, read against _COMMANDS."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"unknown command {argv[0]!r}" if argv else "no command")
+    fn, positionals, options = _COMMANDS[argv[0]]
+    args = {opt[2:]: None if kind else False for opt, kind in options.items()}
+    words, rest = [], iter(argv[1:])
+    for tok in rest:
+        opt, eq, raw = tok.partition("=")
+        opt = "--output" if opt == "-o" else opt
+        kind = options.get(opt, ())
+        if tok == "--":
+            words.extend(rest)
+        elif tok == "-" or not tok.startswith("-"):
+            words.append(tok)
+        elif kind is None and not eq:
+            args[opt[2:]] = True
+        elif kind and (eq or (raw := next(rest, None)) is not None):
+            args[opt[2:]] = _value(opt, kind, raw)
+        else:
+            raise _UsageError(f"unknown option, or no value, in {tok!r}")
+    if len(words) != len(positionals):
+        raise _UsageError(f"{argv[0]} takes {' '.join(positionals).upper()}, got {words}")
+    args.update((k, _value(k, kind, w)) for (k, kind), w in zip(positionals.items(), words))
+    if "--to" in options and args["to"] is None:
+        raise _UsageError("convert needs --to")
+    return fn, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h or --help anywhere before "--" prints the usage
+    if {"-h", "--help"} & set(argv[:argv.index("--") if "--" in argv else None]):
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        return args.fn(args)
+        fn, args = _scan(argv)
+        return fn(args)
+    except _UsageError as e:
+        sys.stderr.write(f"{USAGE}om: error: {e}\n")
+        return 2
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

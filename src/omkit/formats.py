@@ -9,7 +9,6 @@ convert runs are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-import re
 
 from .chirotope import SignMap, VectorConfig
 from .errors import ParseError
@@ -74,7 +73,9 @@ def serialize_chi(m: SignMap) -> str:
 
 # -------------------------------------------------------------------- .hls
 
-_ELEMENT_RE = re.compile(r"~?[1-9][0-9]*\Z")
+def _digits(s):
+    """Is s one or more ASCII digits?  str.isdigit alone also takes '²'."""
+    return s.isascii() and s.isdigit()
 
 
 def _element_json(s: int) -> str:
@@ -82,7 +83,8 @@ def _element_json(s: int) -> str:
 
 
 def _parse_element(tok, path, *index):
-    if not isinstance(tok, str) or not _ELEMENT_RE.match(tok):
+    digits = tok[1:] if isinstance(tok, str) and tok[:1] == "~" else tok
+    if not isinstance(tok, str) or not _digits(digits) or digits[0] == "0":
         where = path + "".join(f"[{i}]" for i in index)
         raise ParseError(f"{where}: bad element {tok!r} (want '5' or '~5')")
     return -int(tok[1:]) if tok.startswith("~") else int(tok)
@@ -177,24 +179,27 @@ def parse_hls(text: str):
 
 # -------------------------------------------------------------------- .vec
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_FRAC_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)\Z")
+def _parse_int(tok):
+    """The value of an optionally signed run of ASCII digits, else None."""
+    return int(tok) if _digits(tok[1:] if tok[:1] in ("+", "-") else tok) else None
 
 
 def _parse_cell(tok, line_no, col):
-    from fractions import Fraction
-
+    """An int for an integer token, a Fraction for p/q."""
     tok = tok.strip()
-    if _INT_RE.match(tok):
-        return Fraction(int(tok))
-    m = _FRAC_RE.match(tok)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
+    num = _parse_int(tok)
+    if num is not None:
+        return num
+    head, slash, den = tok.partition("/")
+    num = _parse_int(head)
+    if slash and num is not None and _digits(den):
+        if int(den) == 0:
             raise ParseError("zero denominator", line=line_no, column=col)
-        return Fraction(num, den)
+        from fractions import Fraction
+
+        return Fraction(num, int(den))
     hint = ""
-    if re.search(r"[.eE]", tok):
+    if any(c in tok for c in ".eE"):
         hint = " (floats are not exact; use p/q)"
     raise ParseError(f"bad entry {tok!r}{hint}", line=line_no, column=col)
 

@@ -361,6 +361,31 @@ class TestEnumerate:
         assert res.returncode == 1
         assert "guard" in res.stderr
 
+    @pytest.mark.parametrize("argv", [["enumerate", "6", "2"], ["enumerate", "6", "3"]])
+    def test_guard_counts_sign_maps(self, argv, monkeypatch, capsys):
+        # 15 and 20 supports, 3^15 and 3^20 maps: refused before any scan
+        from omkit import chirotope, cli
+
+        def scan(task):
+            raise AssertionError("scanned past the guard")
+
+        monkeypatch.setattr(chirotope, "_enum_chunk", scan)
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "guard" in err
+
+    def test_guard_keeps_desk_scale(self, monkeypatch):
+        # 3^10 maps at (5, 2) and (5, 3), 2^15 at (6, 2) uniform: the
+        # limit itself passes, and the override lifts the guard
+        from omkit import chirotope
+
+        monkeypatch.setattr(chirotope, "_enum_chunk", lambda task: (0, []))
+        assert enumerate_bodies(5, 2) == (0, 3**10, [])
+        assert enumerate_bodies(5, 3) == (0, 3**10, [])
+        assert enumerate_bodies(6, 2, uniform=True) == (0, 2**15, [])
+        assert enumerate_bodies(6, 2, allow_large=True) == (0, 3**15, [])
+
 
 def loaded_by(*argv):
     """stdout, exit code and the set of loaded modules of `python -m omkit
@@ -408,32 +433,41 @@ class TestImports:
         assert res.stdout == "False\n"
 
     @pytest.mark.parametrize("command, ext, unloaded", [
-        ("check", "chi", {"omkit.hyperline", "omkit.faces", "dataclasses", "json", "fractions"}),
+        ("check", "chi", {"omkit.hyperline", "omkit.faces", "dataclasses", "json", "fractions",
+                          "argparse", "gettext", "locale", "omkit.arrangement"}),
         ("check", "hls", {"omkit.faces"}),
         ("faces", "chi", {"omkit.hyperline"}),
+        ("faces", "vec", {"fractions", "omkit.arrangement"}),
     ])
     def test_command_loads_only_what_it_runs(self, tmp_path, command, ext, unloaded):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         path = tmp_path / f"frame4.{ext}"
-        path.write_text(serialize_chi(m) if ext == "chi" else serialize_hls(from_chirotope(m)))
+        path.write_text({"chi": serialize_chi(m), "hls": serialize_hls(from_chirotope(m)),
+                         "vec": "1,0,0\n0,1,0\n0,0,1\n1,1,1\n"}[ext])
         _, code, modules = loaded_by(command, str(path))
         assert code == 0 and "omkit.cli" in modules
         assert not modules & unloaded
+
+    def test_fraction_entry_loads_fractions(self, tmp_path):
+        path = tmp_path / "frame4.vec"
+        path.write_text("1/2,0,0\n0,1,0\n0,0,1\n1,1,1\n")
+        out, code, modules = loaded_by("faces", str(path))
+        assert (out, code) == ("V=12 E=24 F=14 euler=2\n", 0)
+        assert "fractions" in modules
 
 
 # Every name `from omkit import *` bound while the package imported its
 # submodules eagerly, by the submodule defining it.
 EXPORTS = {
-    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK OrientationClass SignMap VectorConfig "
-                 "check_chirotope classify_full contract delete det_sign "
-                 "enumerate_bodies find_deletable from_vectors",
+    "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
+                   "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
+    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
+                 "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
               "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
               "ValidationReport Violation",
-    "faces": "ArrangementR1 ArrangementR2 FaceCensus canonical_arrangement cocircuits "
-             "covectors face_census fm_realizable_topes read_rank1 read_rank2 "
-             "represent_rank1 represent_rank2 topes",
+    "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
@@ -507,3 +541,104 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run_om("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"],
+                                      ["convert", "x.chi", "--help"]])
+    def test_help(self, argv, capsys):
+        from omkit import cli
+
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.USAGE and err == "" and out.startswith("usage: om check FILE")
+
+    def test_spellings_agree(self, frame4, capsys):
+        from omkit import cli
+
+        def run(*argv):
+            code = cli.main(list(argv))
+            return code, *capsys.readouterr()
+
+        want = run("convert", frame4, "--to", "hls", "--format", "chi")
+        assert want[0] == 0 and want[1].startswith("{")
+        for argv in (["convert", "--to=hls", frame4, "--format=chi"],
+                     ["convert", "--format", "chi", "--to", "hls", "--", frame4],
+                     ["convert", frame4, "--to", "hls", "-o", "-", "--format", "chi"],
+                     ["convert", frame4, "--to", "chi", "--to", "hls", "-o=-"]):
+            assert run(*argv) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "x.chi"],                   # --to is required
+        ["convert", "x.chi", "--to"],           # missing value
+        ["convert", "x.chi", "--to", "vec"],    # not a choice
+        ["minor", "x.chi", "--del", "1"],       # no abbreviations
+        ["check", "x.chi", "--uniform"],        # another command's option
+        ["enumerate", "3", "2", "--uniform=yes"],
+        ["enumerate", "3", "two"],
+        ["enumerate", "3"],
+        ["check", "x.chi", "y.chi"],
+        ["check", "x.chi", "--", "--format"],   # after --, a second file
+    ])
+    def test_usage_error(self, argv, capsys):
+        from omkit import cli
+
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: om") and "\nom: error: " in err
+
+    def test_seeded_argv_fuzz(self, tmp_path, monkeypatch, capsys):
+        """Command lines drawn from valid, misspelled, abbreviated and
+        valueless options, real and missing files, stdin and junk: every
+        one ends in exit 0, 1 or 2, and a usage error writes no stdout."""
+        import io
+        import random
+
+        from omkit import cli
+
+        m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        files = {"frame4.chi": serialize_chi(m), "frame4.hls": serialize_hls(from_chirotope(m)),
+                 "frame4.vec": "1,0,0\n0,1,0\n0,0,1\n1,1,1\n", "line.chi": TRIANGLE_CHI,
+                 "bad.chi": BAD_CHI, "junk.vec": "1,x\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        paths = [str(tmp_path / name) for name in files] + [str(tmp_path / "missing.chi"), "-"]
+        out_path = str(tmp_path / "out.txt")
+        pools = [
+            ["check", "convert", "minor", "faces", "enumerate", "render", "frob", "chek", ""],
+            ["--format", "--to", "--delete", "--contract", "--output", "-o", "--uniform",
+             "--bodies", "--jobs", "--fromat", "--too", "--del", "--con", "--out", "--uni",
+             "-x", "--format=chi", "--format=vec", "--to=hls", "--to=chi", "--to=xml",
+             "--jobs=2", "--uniform=1", "--delete=auto", "--contract=1", "-o=" + out_path,
+             "--", "-", "-h"],
+            paths,
+            ["0", "1", "2", "3", "-1", "99", "1,2", "auto", "chi", "hls", "vec", "x", "2.5",
+             "", "١", out_path],
+        ]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # --jobs starts no process
+        rng = random.Random(20261018)
+
+        def well_formed():
+            cmd = rng.choice(pools[0][:6])
+            if cmd == "enumerate":
+                flags = rng.sample(["--uniform", "--bodies", "--jobs=2"], rng.randrange(4))
+                return [cmd, rng.choice("123"), rng.choice("123"), *flags]
+            extra = {"convert": ["--to", rng.choice(("chi", "hls"))],
+                     "minor": ["--delete", rng.choice(("auto", "1"))]}
+            return [cmd, rng.choice(paths), *extra.get(cmd, [])]
+
+        codes = []
+        for _ in range(2500):
+            # half well-formed lines with at most one edit, half drawn freely
+            argv = well_formed() if rng.random() < 0.5 else [rng.choice(pools[0])]
+            for _ in range(rng.randrange(2 if len(argv) > 1 else 6)):
+                at = rng.randrange(len(argv) + 1)
+                if rng.random() < 0.3 and at < len(argv):
+                    del argv[at]
+                else:
+                    argv.insert(at, rng.choice(pools[rng.choice((1, 1, 2, 3))]))
+            monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert code != 2 or out == "", argv
+            codes.append(code)
+        assert {0, 1, 2} <= set(codes)

@@ -219,6 +219,32 @@ class TestVec:
             parse_vec("1,x\n")
         assert exc.value.line == 1 and exc.value.column == 3
 
+    @pytest.mark.parametrize("tok, verdict", [
+        ("\u0661", "bad entry"),   # Arabic-Indic one: int() takes it
+        ("\u00b2", "bad entry"),   # superscript two: str.isdigit takes it
+        ("1_000", "bad entry"),     # int() takes it
+        ("1.5", "bad entry"),
+        ("3/0", "zero denominator"),
+        ("+3", 3),
+        ("-0/5", Fraction(0)),
+        (" 4 ", 4),
+    ])
+    def test_token_verdicts(self, tok, verdict, tmp_path, capsys):
+        from omkit import cli
+
+        text = f"{tok},1\n1,0\n"
+        if isinstance(verdict, str):
+            path = tmp_path / "x.vec"
+            path.write_text(text, encoding="utf-8")
+            assert cli.main(["check", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and verdict in err
+            return
+        (cell, one), row = parse_vec(text).rows
+        # integers stay int; a p/q entry is a Fraction
+        assert (cell, type(cell)) == (verdict, type(verdict))
+        assert [type(x) for x in (one, *row)] == [int, int, int]
+
 
 class TestSvg:
     def test_deterministic(self):
