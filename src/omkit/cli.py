@@ -101,11 +101,8 @@ def _validated(kind, obj):
     if kind == "vec":  # a realized configuration is a chirotope by construction
         return obj
     report = _report(kind, obj)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
-        for v in report.violations:
-            print(str(v), file=sys.stderr)
+        print(report, file=sys.stderr)
         return None
     return obj
 
@@ -160,8 +157,7 @@ def _cmd_minor(args):
         m, report = delete(m, internal, allow)
         if not report.ok:
             print("deletion does not leave a chirotope:", file=sys.stderr)
-            for line in report.lines():
-                print(line, file=sys.stderr)
+            print(report, file=sys.stderr)
             return 1
 
     if args.contract:

@@ -56,21 +56,14 @@ class Violation(namedtuple("Violation", "axiom witness message")):
 
 
 class ValidationReport:
-    """Outcome of an axiom check: every violated axiom with one witness each,
-    plus non-fatal warnings (e.g. degenerate period bodies)."""
+    """Outcome of an axiom check: every violated axiom with one witness
+    each.  It holds violations only; an empty report is a pass."""
 
-    def __init__(self, violations=None, warnings=None):
-        self.violations = [] if violations is None else violations
-        self.warnings = [] if warnings is None else warnings
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.violations, self.warnings) == (other.violations, other.warnings)
+    def __init__(self):
+        self.violations = []
 
     def __repr__(self):
-        return (f"ValidationReport(violations={self.violations!r}, "
-                f"warnings={self.warnings!r})")
+        return f"ValidationReport(violations={self.violations!r})"
 
     @property
     def ok(self):
@@ -79,13 +72,5 @@ class ValidationReport:
     def add(self, axiom, witness, message):
         self.violations.append(Violation(axiom, tuple(witness), message))
 
-    def warn(self, message):
-        self.warnings.append(message)
-
-    def lines(self):
-        out = [str(v) for v in self.violations]
-        out.extend(f"warning: {w}" for w in self.warnings)
-        return out
-
     def __str__(self):
-        return "\n".join(self.lines()) if self.lines() else "ok"
+        return "\n".join(map(str, self.violations)) or "ok"

@@ -38,10 +38,9 @@ def parse_chi(text: str) -> SignMap:
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("header must be 'rank n'", line=header_no)
-    try:
-        rank, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("header must be two integers", line=header_no) from None
+    rank, n = map(_parse_int, parts)
+    if rank is None or n is None:
+        raise ParseError("header must be two integers", line=header_no)
     if rank < 1 or n < 1:
         raise ParseError("rank and n must be positive", line=header_no)
     if n < rank:
@@ -126,7 +125,7 @@ def parse_hls(text: str):
         if not isinstance(obj, dict):
             raise ParseError(f"{path}: expected an object")
         rank = obj.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:  # JSON true is no rank
             raise ParseError(f"{path}: 'rank' must be a positive integer")
         if rank <= 2:
             raw = (rank, repr(obj.get("elements" if rank == 1 else "atoms")))

@@ -274,7 +274,7 @@ def _check(x, report, path, clean):
     if path and x.rank > 2 and x._shape in clean:
         clean.add(x.negation)
         return
-    before = (len(report.violations), len(report.warnings))
+    before = len(report.violations)
     at = (path + ": ") if path else ""
     if isinstance(x, HLRank1):
         if not x.chosen:
@@ -285,7 +285,7 @@ def _check(x, report, path, clean):
         _check_rank2(x, report, path)
     else:
         _check_higher(x, report, path, clean)
-    if path and (len(report.violations), len(report.warnings)) == before:
+    if path and len(report.violations) == before:
         clean.update((x, x.negation) + ((x._shape,) if x.rank > 2 else ()))
 
 
@@ -315,9 +315,9 @@ def _check_rank2(x, report, path):
                 report.add("antipodality", (path, a),
                            f"{at}atom {a + k} is not the negation of atom {a}")
                 break
-        if k == 1:
-            report.warn(f"{at}degenerate period (k=1): "
-                        "all elements mutually parallel")
+        if k == 1:  # a rank 2 sequence needs two non-parallel elements
+            report.add("structure", (path,), f"{at}degenerate period (k=1): "
+                       "all elements mutually parallel")
 
 
 def _check_higher(x, report, path, clean):
@@ -405,18 +405,17 @@ def _check_higher(x, report, path, clean):
     # positive tuple of some Y, (a, b) one of the same hyperline's Z.  Each
     # yt maps to the Z's completion table {a: {b}}, merged over the
     # hyperlines whose Y has yt, filed as completions[yt[:-1]][yt[-1]].
+    # Every component is clean, so every Y has a positive tuple and every
+    # Z (period at least 4) a nonempty table.
     completions = {}
     for h in hls:
         table = h.z._table
-        for yt in h.y._tuples if table else ():
+        for yt in h.y._tuples:
             row = completions.setdefault(yt[:-1], {})
             prev = row.get(yt[-1])
             row[yt[-1]] = table if prev is None else {
                 a: prev.get(a, set()) | table.get(a, set())
                 for a in prev.keys() | table.keys()}
-    if not completions:
-        report.add("structure", ((),), f"{at}no positively oriented bases")
-        return
     _h3_h4(x, completions, report, at)
 
 

@@ -10,7 +10,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from omkit import SignMap, normalize
+from omkit import HLHigher, HLRank2, Hyperline, SignMap, normalize
 
 
 def det_laplace(matrix):
@@ -30,6 +30,26 @@ def det_laplace(matrix):
 
 # ------------------------------------------------- literal axiom checking
 
+def parity_evaluator(m):
+    """m's value on a signed r-tuple, read off dict(m.items()): 0 when an
+    element repeats, else the sorted support's value, negated once per
+    barred entry and once per inversion of the tuple's elements.  The
+    literal scans ask for the same tuples many times, so it remembers."""
+    values = dict(m.items())
+
+    @functools.cache
+    def value(t):
+        elems = [abs(e) for e in t]
+        if len(set(elems)) < len(elems):
+            return 0
+        flips = sum(e < 0 for e in t) + sum(
+            a > b for i, a in enumerate(elems) for b in elems[i + 1:])
+        sign = values[tuple(sorted(elems))]
+        return -sign if flips & 1 else sign
+
+    return value
+
+
 def _signed(n):
     out = []
     for e in range(1, n + 1):
@@ -47,12 +67,13 @@ def literal_c1(m):
 def literal_c3(m):
     """Exchange, quantified over every pair of nonzero supports and every
     dropped element, trying every element of the other support."""
+    value = parity_evaluator(m)
     nz = m.nonzero_supports()
     for s in nz:
         for t in nz:
             for x in s:
                 rest = tuple(e for e in s if e != x)
-                if not any(m.evaluate(rest + (u,)) for u in t):
+                if not any(value(rest + (u,)) for u in t):
                     return False
     return True
 
@@ -60,13 +81,14 @@ def literal_c3(m):
 def literal_c4(m):
     """Three-term sign condition, quantified over every signed tuple with
     no reduction: all signed (r-2)-prefixes, all signed slots a, b, c, d."""
+    value = parity_evaluator(m)
     se = _signed(m.n)
     r = m.rank
     for prefix in itertools.product(se, repeat=r - 2):
         for a, b, c, d in itertools.product(se, repeat=4):
-            t1 = m.evaluate(prefix + (c, b)) * m.evaluate(prefix + (a, d))
-            t2 = m.evaluate(prefix + (d, b)) * m.evaluate(prefix + (a, -c))
-            t3 = m.evaluate(prefix + (a, b)) * m.evaluate(prefix + (c, d))
+            t1 = value(prefix + (c, b)) * value(prefix + (a, d))
+            t2 = value(prefix + (d, b)) * value(prefix + (a, -c))
+            t3 = value(prefix + (a, b)) * value(prefix + (c, d))
             if t1 >= 0 and t2 >= 0 and t3 < 0:
                 return False
     return True
@@ -78,13 +100,14 @@ def literal_axiom_check(m):
 
 def literal_c3_witness(m):
     """First exchange failure (s, x, t): s and t over the sorted nonzero
-    supports, x over s, reading values only through m.evaluate."""
+    supports, x over s, reading values only through parity_evaluator."""
+    value = parity_evaluator(m)
     nz = sorted(m.nonzero_supports())
     for s in nz:
         for t in nz:
             for x in s:
                 rest = tuple(e for e in s if e != x)
-                if not any(m.evaluate(rest + (u,)) for u in t):
+                if not any(value(rest + (u,)) for u in t):
                     return (s, x, t)
     return None
 
@@ -93,15 +116,16 @@ def literal_c4_witness(m):
     """First three-term failure prefix + (a, b, c, d): prefixes are the
     sorted (r-2)-subsets of nonzero supports, the slots run over signed
     elements in the order 1 < -1 < 2 < -2 < ...  Values are read only
-    through m.evaluate."""
+    through parity_evaluator."""
     r = m.rank
     if r < 2:
         return None
+    value = parity_evaluator(m)
     se = _signed(m.n)
     prefixes = sorted({p for s in m.nonzero_supports()
                        for p in itertools.combinations(s, r - 2)})
     for prefix in prefixes:
-        f = {a: {b: m.evaluate(prefix + (a, b)) for b in se} for a in se}
+        f = {a: {b: value(prefix + (a, b)) for b in se} for a in se}
         for a, b in itertools.product(se, repeat=2):
             if not f[a][b]:
                 continue  # f(a,b) f(c,d) < 0 fails for every c, d
@@ -205,6 +229,16 @@ def _encoding(x):
                                  for h in x.hyperlines)))
 
 
+def literal_period2_paths(x, path=""):
+    """Paths, in the check's notation, of the rank 2 components of x
+    with two atoms, read off .atoms and .hyperlines in stored order."""
+    if x.rank < 3:
+        return [path] if x.rank == 2 and len(x.atoms) == 2 else []
+    pre = path + "." if path else ""
+    return [p for i, h in enumerate(x.hyperlines) for part, c in (("Y", h.y), ("Z", h.z))
+            for p in literal_period2_paths(c, f"{pre}hyperline[{i}].{part}")]
+
+
 def literal_display_order(x):
     """Hyperlines grouped by Y ground, the orientation whose smallest Y
     base is positive first, then by encoding."""
@@ -268,7 +302,7 @@ def literal_h2_h3_h4(x):
 
 # ------------------------------------------------------ literal covectors
 #
-# Read off the rows alone, or the sign map through SignMap.evaluate:
+# Read off the rows alone, or the sign map through parity_evaluator:
 # cocircuits by determinants or evaluated tuples, then the plain tuple
 # closure and the height poset.  Calls nothing in omkit.faces.
 
@@ -298,11 +332,12 @@ def literal_cocircuits(rows):
 
 
 def signmap_cocircuits(m):
-    """Both signs of (m.evaluate(B + (e,)))_e for every (r-1)-subset B
+    """Both signs of (m's value on B + (e,))_e for every (r-1)-subset B
     that gives a nonzero vector."""
+    value = parity_evaluator(m)
     out = set()
     for b in itertools.combinations(range(1, m.n + 1), m.rank - 1):
-        vec = tuple(m.evaluate(b + (e,)) for e in range(1, m.n + 1))
+        vec = tuple(value(b + (e,)) for e in range(1, m.n + 1))
         if any(vec):
             out.add(vec)
             out.add(tuple(-v for v in vec))
@@ -406,9 +441,10 @@ def relabel_signmap(m, perm):
     """SignMap with element e renamed to perm[e]; values follow by
     evaluating the preimage tuple, so alternation is handled exactly."""
     inv = {v: k for k, v in perm.items()}
+    value = parity_evaluator(m)
     values = {}
     for s in m.supports():
-        values[s] = m.evaluate(tuple(inv[e] for e in s))
+        values[s] = value(tuple(inv[e] for e in s))
     return SignMap(m.rank, m.n, values)
 
 
@@ -416,6 +452,48 @@ def reorient_signmap(m, e):
     """SignMap with element e reoriented: every basis containing e
     changes sign."""
     return SignMap(m.rank, m.n, {s: -v if e in s else v for s, v in m.items()})
+
+
+# ---------------------------------------------------- neighbourhood moves
+#
+# Single local moves on a hyperline sequence, built from .atoms and
+# .hyperlines.  Each yields a candidate, valid or not, for the check to
+# judge against the chirotope route.
+
+
+def rank2_moves(atoms):
+    """Atom lists one move away from an antipodal cyclic sequence of
+    period at least 4: two adjacent atoms swapped or merged, or an atom
+    split, each together with the antipodes; or one signed element moved
+    alone into the atom of its negation."""
+    atoms = [frozenset(a) for a in atoms]
+    k = len(atoms) // 2
+    out = []
+    for i in range(k):
+        a, b, *rest = (atoms[i:] + atoms[:i])[:k]
+        halves = [[b, a] + rest, [a | b] + rest]
+        halves += [[frozenset(part), a.difference(part), b] + rest
+                   for size in range(1, len(a)) for part in itertools.combinations(a, size)]
+        out += [h + [frozenset(-e for e in c) for c in h] for h in halves]
+    for s in (s for atom in atoms for s in atom):
+        out.append([(c - {s}) | ({s} if -s in c else set()) for c in atoms])
+    return out
+
+
+def neighbours(x):
+    """Sequences one move away from x: at rank 2 a move on x; above it a
+    move on one hyperline's Z or, at rank 3, that hyperline's Y negated,
+    applied to the hyperline and its negation together."""
+    if x.rank == 2:
+        return [HLRank2(atoms) for atoms in rank2_moves(x.atoms)]
+    out = []
+    for h in x.hyperlines:
+        kept = set(x.hyperlines) - {h, Hyperline(h.y.negation, h.z.negation)}
+        pairs = [(h.y, HLRank2(atoms)) for atoms in rank2_moves(h.z.atoms)]
+        pairs += [(h.y.negation, h.z)] if x.rank == 3 else []
+        out += [HLHigher(x.rank, kept | {Hyperline(y, z), Hyperline(y.negation, z.negation)})
+                for y, z in pairs]
+    return out
 
 
 # --------------------------------------------------------------- sampling

@@ -12,6 +12,7 @@ from helpers import (
     literal_c3_witness,
     literal_c4,
     literal_c4_witness,
+    parity_evaluator,
     quotient_coords,
     random_fullrank_rows,
     random_signmap,
@@ -71,6 +72,18 @@ class TestSignMap:
         m = SignMap(2, 3, {(1, 2): 1})
         assert m.evaluate((1, 1)) == 0
         assert m.evaluate((2, -2)) == 0
+
+    def test_evaluate_matches_parity(self):
+        # every signed r-tuple, repeated elements included, against the
+        # oracles' own inversion count
+        rng = random.Random(2026)
+        for i in range(50):
+            r = 1 + i % 4
+            m = random_signmap(rng, rng.randint(r, 6), r)
+            value = parity_evaluator(m)
+            signed = [s for e in range(1, m.n + 1) for s in (e, -e)]
+            for t in itertools.product(signed, repeat=r):
+                assert m.evaluate(t) == value(t), t
 
     def test_evaluate_errors(self):
         m = SignMap(2, 3, {(1, 2): 1})
@@ -356,7 +369,7 @@ class TestRealization:
                         rows = list(base)
                         rows.insert(rng.randrange(len(rows) + 1), extra)
                         report = check_chirotope(from_vectors(rows))
-                        assert not report.violations and not report.warnings, rows
+                        assert not report.violations, rows
 
     def test_det_sign_matches_laplace(self):
         rng = random.Random(3)

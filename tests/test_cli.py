@@ -74,11 +74,24 @@ class TestCheck:
         res = run_om("check", "/nonexistent/path.chi")
         assert res.returncode == 2
 
-    def test_degenerate_period_warning(self):
+    def test_degenerate_period_rejected(self):
         res = run_om("check", "-", "--format", "hls",
                      stdin='{"rank":2,"atoms":[["1","2"],["~1","~2"]]}\n')
-        assert res.returncode == 0
-        assert "degenerate period" in res.stdout
+        assert res.returncode == 1
+        assert "structure violated: degenerate period" in res.stdout
+
+    @pytest.mark.parametrize("argv", [["convert", "--to", "chi"], ["faces"], ["render"]],
+                             ids=["convert", "faces", "render"])
+    def test_degenerate_period_refused(self, argv, tmp_path, capsys):
+        # every command that validates its input stops at the finding
+        from omkit import cli
+
+        path = tmp_path / "x.hls"
+        path.write_text('{"rank":2,"atoms":[["1","2"],["~1","~2"]]}\n')
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "structure violated: degenerate period (k=1): all elements mutually parallel\n")
 
     def test_vec_input(self):
         res = run_om("check", "-", "--format", "vec", stdin="1,0\n0,1\n")

@@ -48,6 +48,25 @@ class TestChi:
             with pytest.raises(ParseError):
                 parse_chi(text)
 
+    @pytest.mark.parametrize("header", [
+        "2 \uff13",   # fullwidth three: int() takes it
+        "\u0662 3",   # Arabic-Indic two: int() takes it
+        "2 1_0",       # int() reads 10
+    ])
+    def test_header_takes_ascii_integers(self, header, tmp_path, capsys):
+        from omkit import cli
+
+        with pytest.raises(ParseError, match="header must be two integers"):
+            parse_chi(f"{header}\n+++\n")
+        path = tmp_path / "x.chi"
+        path.write_text(f"{header}\n+++\n", encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "header must be two integers" in err
+
+    def test_header_sign(self):
+        assert parse_chi("+2 3\n+-0\n") == parse_chi("2 3\n+-0\n")
+
     def test_bad_char_position(self):
         with pytest.raises(ParseError) as exc:
             parse_chi("2 3\n+x0\n")
@@ -124,6 +143,17 @@ class TestHls:
         ):
             with pytest.raises(ParseError):
                 parse_hls(text)
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"rank": true, "elements": ["1", "~2"]}', "$"),
+        ('{"rank": 3, "hyperlines": [{"Y": {"rank": true, "elements": ["1"]}, '
+         '"Z": {"rank": 2, "atoms": [["2"], ["3"], ["~2"], ["~3"]]}}]}', "$.hyperlines[0].Y"),
+    ], ids=["top", "nested-y"])
+    def test_boolean_rank_refused(self, text, path):
+        # JSON true is an int to Python, and would read as rank 1
+        with pytest.raises(ParseError) as exc:
+            parse_hls(text)
+        assert str(exc.value) == f"{path}: 'rank' must be a positive integer"
 
     def test_shape_error_paths(self):
         with pytest.raises(ParseError) as exc:

@@ -1,4 +1,6 @@
 import collections
+import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +11,8 @@ from helpers import (
     literal_h2_h3_h4,
     literal_key,
     literal_negation,
+    literal_period2_paths,
+    neighbours,
     random_fullrank_rows,
     rotations_equal,
 )
@@ -33,6 +37,7 @@ from omkit import (
 )
 
 HEXA = [{1}, {2}, {3}, {-1}, {-2}, {-3}]
+DEGENERATE = "degenerate period (k=1): all elements mutually parallel"
 
 
 def hl(y_chosen, z_atoms):
@@ -131,16 +136,18 @@ class TestCheck:
         assert not report.ok
 
     def test_missing_coverage(self):
-        # 2 never appears: atoms must cover every signed copy
-        report = check_hyperline(HLRank2([{1}, {-1}]))
-        assert check_hyperline(HLRank2([{1}, {-1}])).ok  # ground is just {1}
+        # the ground is just {1}: covered, but one element spans no base
+        assert not check_hyperline(HLRank2([{1}, {-1}])).ok
+        # -2 never appears: atoms must cover every signed copy
         report = check_hyperline(HLRank2([{1, 2}, {-1}]))
         assert not report.ok
 
-    def test_degenerate_period_warns(self):
+    def test_degenerate_period_violates(self):
+        # a rank 2 sequence needs two non-parallel elements, so period 4
         report = check_hyperline(HLRank2([{1, 2}, {-1, -2}]))
-        assert report.ok
-        assert any("degenerate period" in w for w in report.warnings)
+        assert [(v.axiom, v.witness, v.message) for v in report.violations] == [
+            ("structure", ("",), DEGENERATE)]
+        assert str(report) == "structure violated: " + DEGENERATE
 
     def test_rank1_both_signs(self):
         report = check_hyperline(HLRank1({1, -1}))
@@ -250,7 +257,8 @@ class TestCheck:
         (closed(3, Hyperline(HLRank1({1}), HLRank1({2}))),
          [f"hyperline[{i}]: Z is not a rank 2 sequence" for i in (0, 1)]),
         # every Z has period 2, so no pair in it is positively oriented
-        (closed(3, hl({1}, [{2, 3}, {-2, -3}])), ["no positively oriented bases"]),
+        (closed(3, hl({1}, [{2, 3}, {-2, -3}])),
+         [f"hyperline[{i}].Z: {DEGENERATE}" for i in (0, 1)]),
     ], ids=["rank1-empty", "empty-atom", "no-hyperlines", "y-rank", "z-rank",
             "no-positive-bases"])
     def test_structure_branches(self, x, messages):
@@ -474,30 +482,41 @@ def _mutated_corpus():
         yield x
 
 
+def _expected(x, path=""):
+    """The findings of x checked at path: one structure violation per
+    period-2 component if it has any, else the literal H2/H3/H4 ones."""
+    degenerate = literal_period2_paths(x, path)
+    if degenerate:
+        return [("structure", (p,), f"{p}: {DEGENERATE}") for p in degenerate]
+    return [(a, w, (path and path + ": ") + m) for a, w, m in literal_h2_h3_h4(x)]
+
+
 def test_matches_literal_scans():
     # The indexed H2/H3/H4 scans report the same violations, witnesses
-    # and order as the quadratic scans in the literal oracle.
+    # and order as the quadratic scans in the literal oracle; a merge
+    # down to period 2 stops the check at that component.
     seen = collections.Counter()
     for x in _mutated_corpus():
         assert x.hyperlines == tuple(literal_display_order(x))
         got = [(v.axiom, v.witness, v.message)
                for v in check_hyperline(x).violations]
-        assert got == literal_h2_h3_h4(x)
+        assert got == _expected(x)
         seen.update(axiom for axiom, _, _ in got)
         seen["ok"] += not got
-    assert seen["H2"] and seen["H3"] and seen["H4"] and seen["ok"], seen
+    assert all(seen[k] for k in ("H2", "H3", "H4", "ok", "structure")), seen
 
 
 def test_nested_reports_carry_the_path():
     # a corpus sequence checked as the Y of a larger one reports the same
-    # H2/H3/H4 witnesses as alone, each message under the Y's path
+    # findings as alone, each message under the Y's path; the outer
+    # sequence's own finding (its missing negation) is left out
     z = HLRank2([{98}, {99}, {-98}, {-99}])
     seen = collections.Counter()
     for x in _mutated_corpus():
         outer = HLHigher(x.rank + 2, [Hyperline(x, z)])
-        got = [(v.axiom, v.witness, v.message) for v in
-               check_hyperline(outer, True).violations if v.axiom in ("H2", "H3", "H4")]
-        assert got == [(a, w, "hyperline[0].Y: " + m) for a, w, m in literal_h2_h3_h4(x)]
+        got = [(v.axiom, v.witness, v.message) for v in check_hyperline(outer, True)
+               .violations if v.message.startswith("hyperline[0].Y")]
+        assert got == _expected(x, "hyperline[0].Y")
         seen.update(axiom for axiom, _, _ in got)
     assert seen["H2"] and seen["H3"] and seen["H4"], seen
 
@@ -513,6 +532,27 @@ def test_negation_keeps_the_verdict():
             collections.Counter(v.axiom for v in neg.violations)
         seen.update(v.axiom for v in got.violations)
     assert seen["H2"] and seen["H3"] and seen["H4"], seen
+
+
+def test_check_agrees_with_the_chirotope_route():
+    # check_hyperline accepts a sequence exactly when its chirotope passes
+    # check_chirotope and rebuilds to it.  Sequences: every valid one of
+    # rank 2 at n <= 4 and of rank 3 at n = 4, and every one a single move
+    # away (swaps keep a rank 2 sequence valid, merges reach period 2)
+    seen = collections.Counter()
+    for n, r in ((2, 2), (3, 2), (4, 2), (4, 3)):
+        maps = (SignMap(r, n, list(s))
+                for s in itertools.product((-1, 0, 1), repeat=math.comb(n, r)))
+        starts = {from_chirotope(m) for m in maps if check_chirotope(m).ok}
+        for v in starts.union(*map(neighbours, starts)):
+            try:
+                m = to_chirotope(v)
+                ok = check_chirotope(m).ok and from_chirotope(m) == v
+            except ConstructionError:  # counts as a rejection
+                ok = False
+            assert check_hyperline(v).ok == ok, v
+            seen[r, ok] += 1
+    assert all(seen[r, ok] for r in (2, 3) for ok in (True, False)), seen
 
 
 class TestSharedComponents:
