@@ -414,17 +414,17 @@ def delete(m: SignMap, drop, allow_large=False):
     return sub, check_chirotope(sub, allow_large)
 
 
-def find_deletable(m: SignMap, allow_large=False) -> int:
-    """Smallest element whose deletion validates as a rank-preserving
-    chirotope.  Existence is guaranteed whenever n > r, but only elements
-    outside a nonzero basis are promised to work, so each candidate is
-    verified before being returned."""
+def find_deletable(m: SignMap, allow_large=False) -> tuple:
+    """(e, deletion) for the smallest element e whose deletion validates
+    as a rank-preserving chirotope.  On a chirotope with n > r, any element
+    that some nonzero basis avoids can be deleted; on any other sign map a
+    candidate may fail, so each is validated before it is returned."""
     if m.n <= m.rank:
         raise NoDeletableElement(f"n = rank = {m.rank}: nothing can be deleted")
     for e in range(1, m.n + 1):
         sub, report = delete(m, {e}, allow_large)
         if report.ok:
-            return e
+            return e, sub
     raise NoDeletableElement("no single element deletes to a valid chirotope")
 
 

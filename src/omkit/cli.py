@@ -147,14 +147,12 @@ def _cmd_minor(args):
     m = _as_chirotope(kind, obj)
     allow = _env_large()
 
-    if args.delete:
-        if args.delete == "auto":
-            e = find_deletable(m, allow)
-            print(f"deleting element {m.label_of(e)}", file=sys.stderr)
-            internal = [e]
-        else:
-            internal = m.ids(_parse_id_list(args.delete))
-        m, report = delete(m, internal, allow)
+    if args.delete == "auto":
+        e, sub = find_deletable(m, allow)
+        print(f"deleting element {m.label_of(e)}", file=sys.stderr)
+        m = sub
+    elif args.delete:
+        m, report = delete(m, m.ids(_parse_id_list(args.delete)), allow)
         if not report.ok:
             print("deletion does not leave a chirotope:", file=sys.stderr)
             print(report, file=sys.stderr)

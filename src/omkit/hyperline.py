@@ -5,7 +5,9 @@ atoms (sets of signed elements) with antipodal symmetry: atom a+k is the
 negation of atom a.  Rank r > 2 is a set of hyperlines (Y|Z): Y a rank r-2
 sequence on the elements lying on the hyperline, Z a rank 2 sequence on
 the rest, describing the rotation around it.  Sequences are closed under
-hyperline negation: (Y|Z) and (-Y|-Z) are both stored.
+hyperline negation: (Y|Z) and (-Y|-Z) are both stored.  The constructors
+refuse, with ValueError, what is no sequence at all: an empty choice or
+atom, a higher sequence without hyperlines, a Y or Z of the wrong rank.
 
 Every sequence stores its canonical form, built once in its constructor:
 HLRank2 its rotation whose atom encodings come first, with those
@@ -70,8 +72,8 @@ class HLRank1(_Sequence):
 
     def __init__(self, chosen):
         ch = frozenset(map(int, chosen))
-        if 0 in ch:
-            raise ValueError("0 is not a signed element")
+        if not ch or 0 in ch:
+            raise ValueError("0 is not a signed element" if ch else "rank 1 sequence is empty")
         self.chosen = self._key = ch
         self._hash = hash(ch)
         self.ground = frozenset(map(abs, ch))
@@ -104,9 +106,9 @@ class HLRank2(_Sequence):
     def __init__(self, atoms):
         ats = [frozenset(map(int, a)) for a in atoms]
         ground = frozenset(map(abs, itertools.chain.from_iterable(ats)))
-        if not ats or 0 in ground:
-            raise ValueError("0 is not a signed element" if ats
-                             else "need at least one atom")
+        if not ats or not all(ats) or 0 in ground:
+            raise ValueError("need at least one atom" if not ats else "empty atom"
+                             if not all(ats) else "0 is not a signed element")
         self._store(ats, [_signed_sorted(a) for a in ats], ground)
 
     def _store(self, ats, enc, ground):
@@ -184,8 +186,16 @@ class HLHigher(_Sequence):
     def __init__(self, rank, hyperlines):
         if rank < 3:
             raise ValueError("HLHigher is for rank 3 and above")
-        self.rank = int(rank)
-        self.hyperlines = tuple(sorted(set(hyperlines), key=_display_key))
+        self.rank = rank = int(rank)
+        hls = set(hyperlines)
+        if not hls:
+            raise ValueError("no hyperlines")
+        for h in hls:  # before the sort: _display_key reads each Y's bases
+            if getattr(h.y, "rank", None) != rank - 2:
+                raise ValueError(f"Y has rank {getattr(h.y, 'rank', '?')}, expected {rank - 2}")
+            if not isinstance(h.z, HLRank2):
+                raise ValueError("Z is not a rank 2 sequence")
+        self.hyperlines = tuple(sorted(hls, key=_display_key))
         self.ground = frozenset().union(*(h.y.ground for h in self.hyperlines),
                                         *(h.z.ground for h in self.hyperlines))
         self._key = (self.rank, self.hyperlines)
@@ -277,8 +287,6 @@ def _check(x, report, path, clean):
     before = len(report.violations)
     at = (path + ": ") if path else ""
     if isinstance(x, HLRank1):
-        if not x.chosen:
-            report.add("structure", (path,), f"{at}rank 1 sequence is empty")
         if len(x.chosen) != len(x.ground):
             report.add("structure", (path,), f"{at}an element appears with both signs")
     elif isinstance(x, HLRank2):
@@ -292,9 +300,6 @@ def _check(x, report, path, clean):
 def _check_rank2(x, report, path):
     at = (path + ": ") if path else ""
     ok = True
-    if any(not a for a in x.atoms):
-        report.add("structure", (path,), f"{at}empty atom")
-        ok = False
     if x.period % 2:
         report.add("structure", (path,), f"{at}odd period {x.period}")
         ok = False
@@ -323,47 +328,26 @@ def _check_rank2(x, report, path):
 def _check_higher(x, report, path, clean):
     at, pre = (path + ": ", path + ".") if path else ("", "")
     hls = x.hyperlines
-    if not hls:
-        report.add("structure", (path,), f"{at}no hyperlines")
-        return
-    structural_ok = True
+    before = len(report.violations)
     for i, h in enumerate(hls):
         sub = f"{pre}hyperline[{i}]"
-        if getattr(h.y, "rank", None) != x.rank - 2:
-            report.add("structure", (sub,),
-                       f"{sub}: Y has rank {getattr(h.y, 'rank', '?')}, "
-                       f"expected {x.rank - 2}")
-            structural_ok = False
-            continue
-        if not isinstance(h.z, HLRank2):
-            report.add("structure", (sub,), f"{sub}: Z is not a rank 2 sequence")
-            structural_ok = False
-            continue
-        before = len(report.violations)
         _check(h.y, report, sub + ".Y", clean)
         _check(h.z, report, sub + ".Z", clean)
-        structural_ok &= len(report.violations) == before
         if not h.y.ground.isdisjoint(h.z.ground):
             report.add("H1", (sub,),
                        f"{sub}: Y and Z grounds overlap "
                        f"({sorted(h.y.ground & h.z.ground)})")
-            structural_ok = False
         elif len(h.y.ground) + len(h.z.ground) != len(x.ground):
             report.add("H1", (sub,), f"{sub}: Y and Z grounds do not cover the ground set")
-            structural_ok = False
     index = {h: i for i, h in enumerate(hls)}
-    opposite = [None] * len(hls)  # index of each hyperline's negation
-    for i, h in enumerate(hls):
-        j = index.get(Hyperline(h.y.negation, h.z.negation)) \
-            if opposite[i] is None else opposite[i]
-        if j is None:
-            report.add("structure", (f"{pre}hyperline[{i}]",),
-                       f"{pre}hyperline[{i}]: negated orientation is missing "
-                       "(sequences store both)")
-            structural_ok = False
-            break
-        opposite[i], opposite[j] = j, i  # negation is an involution
-    if not structural_ok:
+    # index of each hyperline's negation
+    opposite = [index.get(Hyperline(h.y.negation, h.z.negation)) for h in hls]
+    if None in opposite:
+        i = opposite.index(None)
+        report.add("structure", (f"{pre}hyperline[{i}]",),
+                   f"{pre}hyperline[{i}]: negated orientation is missing "
+                   "(sequences store both)")
+    if len(report.violations) != before:
         return
 
     # hyperlines grouped by Y ground, in display order within a group
@@ -472,8 +456,6 @@ def to_chirotope(x) -> SignMap:
     """SignMap with the sequence's bases as nonzero values.  Elements are
     compacted to 1..n with the original ids kept as labels."""
     elems = sorted(x.ground)
-    if not elems:
-        raise ValueError("empty ground set")
     index = {e: i + 1 for i, e in enumerate(elems)}
     values = {}
     for sup, sign in x._bases:
@@ -520,7 +502,7 @@ def _from_chirotope(m, memo):
             z = _from_chirotope(SignMap(2, len(ec), cvals,
                                         [lab[e - 1] for e in ec]), memo)
             eb = sorted(full.difference(ec))
-            bvals = gather(m, _first_positive_pair(g, prefix, ec),
+            bvals = gather(m, _first_positive_pair(g, ec),
                            itertools.combinations(eb, r - 2))
             y = _from_chirotope(SignMap(r - 2, len(eb), bvals,
                                         [lab[e - 1] for e in eb]), memo)
@@ -530,14 +512,11 @@ def _from_chirotope(m, memo):
     return x
 
 
-def _first_positive_pair(g, prefix, candidates):
+def _first_positive_pair(g, candidates):
     """First signed pair (a, b) with sign(a) sign(b) g[|a|][|b|] = +1."""
     signed = signed_elements(candidates)
-    for a in signed:
-        for b in signed:
-            if g[abs(a)][abs(b)] == (1 if (a > 0) == (b > 0) else -1):
-                return (a, b)
-    raise ConstructionError(f"prefix {prefix} has no positive completion")
+    return next((a, b) for a in signed for b in signed
+                if g[abs(a)][abs(b)] == (1 if (a > 0) == (b > 0) else -1))
 
 
 def _rank2_atoms(m):

@@ -8,6 +8,7 @@ construction), so agreement is meaningful.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from omkit import HLHigher, HLRank2, Hyperline, SignMap, normalize
@@ -465,7 +466,8 @@ def rank2_moves(atoms):
     """Atom lists one move away from an antipodal cyclic sequence of
     period at least 4: two adjacent atoms swapped or merged, or an atom
     split, each together with the antipodes; or one signed element moved
-    alone into the atom of its negation."""
+    alone into the atom of its negation, dropping an atom that it empties
+    (no sequence holds an empty atom)."""
     atoms = [frozenset(a) for a in atoms]
     k = len(atoms) // 2
     out = []
@@ -476,7 +478,8 @@ def rank2_moves(atoms):
                    for size in range(1, len(a)) for part in itertools.combinations(a, size)]
         out += [h + [frozenset(-e for e in c) for c in h] for h in halves]
     for s in (s for atom in atoms for s in atom):
-        out.append([(c - {s}) | ({s} if -s in c else set()) for c in atoms])
+        moved = [(c - {s}) | ({s} if -s in c else set()) for c in atoms]
+        out.append([c for c in moved if c])
     return out
 
 
@@ -494,6 +497,29 @@ def neighbours(x):
         out += [HLHigher(x.rank, kept | {Hyperline(y, z), Hyperline(y.negation, z.negation)})
                 for y, z in pairs]
     return out
+
+
+def route_disagreements(maps, seen):
+    """The sequences of the valid sign maps `maps`, and every sequence one
+    move away from them, on which check_hyperline disagrees with the
+    chirotope route: a sequence passes that route when its chirotope
+    passes check_chirotope and rebuilds to it (a ConstructionError is a
+    rejection).  seen counts the sequences checked by (rank, verdict)."""
+    from omkit import (ConstructionError, check_chirotope, check_hyperline,
+                       from_chirotope, to_chirotope)
+
+    starts = {from_chirotope(m) for m in maps}
+    bad = []
+    for v in starts.union(*map(neighbours, starts)):
+        try:
+            m = to_chirotope(v)
+            ok = check_chirotope(m).ok and from_chirotope(m) == v
+        except ConstructionError:
+            ok = False
+        if check_hyperline(v).ok != ok:
+            bad.append(v)
+        seen[v.rank, ok] += 1
+    return bad
 
 
 # --------------------------------------------------------------- sampling
@@ -544,6 +570,19 @@ def random_signmap(rng, n, r):
     for s in itertools.combinations(range(1, n + 1), r):
         values[s] = rng.choice((-1, 0, 1))
     return SignMap(r, n, values)
+
+
+def valid_signmaps(rng, n, r, count):
+    """count distinct valid sign maps at (n, r), drawn uniformly from the
+    valid ones by rejecting random sign maps that fail check_chirotope."""
+    from omkit import check_chirotope
+
+    out = {}
+    while len(out) < count:
+        signs = tuple(rng.choice((-1, 0, 1)) for _ in range(math.comb(n, r)))
+        if signs not in out and check_chirotope(m := SignMap(r, n, list(signs))).ok:
+            out[signs] = m
+    return list(out.values())
 
 
 # ---------------------------------------------------- quotient projection

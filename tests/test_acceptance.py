@@ -175,9 +175,9 @@ def test_criterion_7_minors_cohere(corpus):
     for n, r, rows in corpus:
         m = from_vectors(rows)
         if n > r:
-            e = find_deletable(m)
-            sub, report = delete(m, {e})
-            assert report.ok
+            e, sub = find_deletable(m)
+            assert check_chirotope(sub).ok
+            assert sub == delete(m, {e})[0]
         if r == 1:
             with pytest.raises(ContractionError):
                 contract(m, [1])

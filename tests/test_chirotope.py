@@ -121,6 +121,10 @@ class TestStorage:
             SignMap(2, 4, [1, 0, -1, 1, 1])
         with pytest.raises(ValueError, match="out of range: 2"):
             SignMap(2, 4, [1, 0, -1, 1, 2, 0])
+        with pytest.raises(ValueError, match="^rank must be at least 1$"):
+            SignMap(0, 3)
+        with pytest.raises(ValueError, match="^ground set needs at least one element$"):
+            SignMap(1, 0)
 
     def test_items_in_chi_order(self):
         body = "+0-+-0-+0+"
@@ -347,6 +351,10 @@ class TestRealization:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             VectorConfig([(1, 0), (0, 1, 1)])
+        with pytest.raises(ValueError, match="^need at least one row$"):
+            VectorConfig([])
+        with pytest.raises(ValueError, match="^rows must have at least one column$"):
+            VectorConfig([()])
 
     def test_realized_maps_validate(self, corpus):
         for n, r, rows in corpus[:40]:
@@ -414,19 +422,23 @@ class TestMinors:
             delete(from_vectors(TRIANGLE), {5})
 
     def test_find_deletable_smallest(self):
-        assert find_deletable(from_vectors(FRAME4)) == 1
+        m = from_vectors(FRAME4)
+        assert find_deletable(m) == (1, delete(m, {1})[0])
 
     def test_find_deletable_skips_essential(self):
         # element 1 spans the x axis alone: deleting it drops the rank,
         # so the scan moves past it
         m = from_vectors([(1, 0), (0, 1), (0, 2), (0, 3)])
-        assert find_deletable(m) == 2
+        assert find_deletable(m) == (2, delete(m, {2})[0])
         _, report = delete(m, {1})
         assert not report.ok
 
     def test_find_deletable_exhausted(self):
         with pytest.raises(NoDeletableElement):
             find_deletable(from_vectors(TRIANGLE[:2]))
+        # n > r, but no deletion of the all-zero map is a chirotope
+        with pytest.raises(NoDeletableElement, match="^no single element deletes"):
+            find_deletable(SignMap(2, 3))
 
     def test_contract_example(self):
         m = from_vectors(FRAME4)

@@ -211,6 +211,29 @@ class TestMinor:
         assert "deleting element 1" in res.stderr
         assert "ids: 1=2 2=3 3=4" in res.stderr
 
+    def test_delete_auto_checks_the_deletion_once(self, tmp_path, monkeypatch, capsys):
+        # find_deletable hands back the deletion it validated, so the
+        # command validates the input once and the 4-element deletion once
+        import collections
+
+        from omkit import chirotope, cli
+
+        p = tmp_path / "five.chi"
+        p.write_text(serialize_chi(from_vectors(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)])))
+        checked = collections.Counter()
+        check = chirotope.check_chirotope
+
+        def counted(m, allow_large=False):
+            checked[m.n] += 1
+            return check(m, allow_large)
+
+        monkeypatch.setattr(chirotope, "check_chirotope", counted)
+        monkeypatch.setattr(cli, "check_chirotope", counted)
+        assert cli.main(["minor", str(p), "--delete", "auto"]) == 0
+        assert checked == {5: 1, 4: 1}
+        assert capsys.readouterr().out == "3 4\n++-+\n"
+
     def test_contract(self, frame4):
         res = run_om("minor", frame4, "--contract", "4")
         assert res.returncode == 0
@@ -365,9 +388,15 @@ class TestEnumerate:
                              capture_output=True, text=True)
         assert res.stdout == "False\n"
 
-    def test_bad_sizes(self):
+    def test_bad_sizes(self, capsys):
         assert run_om("enumerate", "2", "3").returncode == 2
         assert run_om("enumerate", "0", "0").returncode == 2
+        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
+            enumerate_bodies(3, 2, jobs=0)
+        from omkit import cli
+
+        assert cli.main(["enumerate", "3", "2", "--jobs", "0"]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
     def test_guard(self):
         res = run_om("enumerate", "7", "3")

@@ -13,6 +13,8 @@ from omkit import (
 def test_underlying():
     assert underlying(5) == 5
     assert underlying(-5) == 5
+    with pytest.raises(ValueError):
+        underlying(0)
 
 
 def test_signed_order():

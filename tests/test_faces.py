@@ -352,6 +352,8 @@ class TestRepresentations:
             ArrangementR2(4, {1: 0, -1: 1})
         with pytest.raises(ValueError):
             ArrangementR2(3, {1: 0, -1: 1})
+        with pytest.raises(ValueError, match="^slot 4 out of range$"):
+            ArrangementR2(4, {1: 4, -1: 2})
 
     def test_rank2_empty_slot(self):
         with pytest.raises(ArrangementError):

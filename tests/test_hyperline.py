@@ -12,9 +12,10 @@ from helpers import (
     literal_key,
     literal_negation,
     literal_period2_paths,
-    neighbours,
     random_fullrank_rows,
     rotations_equal,
+    route_disagreements,
+    valid_signmaps,
 )
 from omkit import (
     ConstructionError,
@@ -77,6 +78,24 @@ class TestStructures:
     def test_higher_needs_rank3(self):
         with pytest.raises(ValueError):
             HLHigher(2, [])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: HLRank1(set()), "rank 1 sequence is empty"),
+        (lambda: HLRank2([set(), {1}, set(), {-1}]), "empty atom"),
+        (lambda: HLRank2([]), "need at least one atom"),
+        (lambda: HLRank2([{1}, {0}]), "0 is not a signed element"),
+        (lambda: HLHigher(3, []), "no hyperlines"),
+        (lambda: closed(4, hl({1}, [{2}, {3}, {-2}, {-3}])), "Y has rank 1, expected 2"),
+        (lambda: HLHigher(3, [Hyperline(3, HLRank2(HEXA))]), "Y has rank ?, expected 1"),
+        (lambda: HLHigher(3, [Hyperline(HLRank1({1}), HLRank1({2}))]),
+         "Z is not a rank 2 sequence"),
+    ], ids=["rank1-empty", "empty-atom", "no-atoms", "element-0", "no-hyperlines",
+            "y-rank", "y-not-a-sequence", "z-rank"])
+    def test_constructors_refuse_malformed_shapes(self, make, message):
+        # what no .hls file can hold is no sequence: it never reaches the check
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message
 
 
 class TestNegation:
@@ -249,18 +268,10 @@ class TestCheck:
         assert check_hyperline(x, allow_large=True).ok
 
     @pytest.mark.parametrize("x, messages", [
-        (HLRank1(set()), ["rank 1 sequence is empty"]),
-        (HLRank2([set(), {1}, set(), {-1}]), ["empty atom"]),
-        (HLHigher(3, []), ["no hyperlines"]),
-        (closed(4, hl({1}, [{2}, {3}, {-2}, {-3}])),
-         [f"hyperline[{i}]: Y has rank 1, expected 2" for i in (0, 1)]),
-        (closed(3, Hyperline(HLRank1({1}), HLRank1({2}))),
-         [f"hyperline[{i}]: Z is not a rank 2 sequence" for i in (0, 1)]),
         # every Z has period 2, so no pair in it is positively oriented
         (closed(3, hl({1}, [{2, 3}, {-2, -3}])),
          [f"hyperline[{i}].Z: {DEGENERATE}" for i in (0, 1)]),
-    ], ids=["rank1-empty", "empty-atom", "no-hyperlines", "y-rank", "z-rank",
-            "no-positive-bases"])
+    ], ids=["no-positive-bases"])
     def test_structure_branches(self, x, messages):
         report = check_hyperline(x)
         assert [(v.axiom, v.message) for v in report.violations] == \
@@ -543,16 +554,19 @@ def test_check_agrees_with_the_chirotope_route():
     for n, r in ((2, 2), (3, 2), (4, 2), (4, 3)):
         maps = (SignMap(r, n, list(s))
                 for s in itertools.product((-1, 0, 1), repeat=math.comb(n, r)))
-        starts = {from_chirotope(m) for m in maps if check_chirotope(m).ok}
-        for v in starts.union(*map(neighbours, starts)):
-            try:
-                m = to_chirotope(v)
-                ok = check_chirotope(m).ok and from_chirotope(m) == v
-            except ConstructionError:  # counts as a rejection
-                ok = False
-            assert check_hyperline(v).ok == ok, v
-            seen[r, ok] += 1
+        assert route_disagreements([m for m in maps if check_chirotope(m).ok], seen) == []
     assert all(seen[r, ok] for r in (2, 3) for ok in (True, False)), seen
+
+
+def test_check_agrees_with_the_chirotope_route_at_five_elements():
+    # the same agreement on seeded valid maps at (5, 3) and (5, 4), each
+    # with every sequence one move away; tests/route_sweep.py runs it on
+    # many more
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for r, count in ((3, 15), (4, 10)):
+        assert route_disagreements(valid_signmaps(rng, 5, r, count), seen) == []
+    assert all(seen[r, ok] for r in (3, 4) for ok in (True, False)), seen
 
 
 class TestSharedComponents:
