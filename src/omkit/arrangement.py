@@ -34,7 +34,7 @@ def classify_full(m: SignMap) -> OrientationClass:
     """Which of the two chirotopes on n = r elements this is."""
     if m.n != m.rank:
         raise ValueError(f"defined only for n = rank (got n={m.n}, rank={m.rank})")
-    v = m.value(tuple(range(1, m.rank + 1)))
+    v = m.evaluate(range(1, m.rank + 1))
     if v == 0:
         raise ValueError("not a chirotope: the only possible basis has value 0")
     return OrientationClass.PLUS if v > 0 else OrientationClass.MINUS

@@ -87,19 +87,12 @@ class SignMap:
         if len(self.labels) != n:
             raise ValueError("labels must name every element")
 
-    def supports(self):
-        return iter(_layout(self.n, self.rank)[0])
-
     def nonzero_supports(self):
         return [s for s, v in zip(_layout(self.n, self.rank)[0], self._signs) if v]
 
     def items(self):
         """(support, sign) pairs in lexicographic support order."""
         return list(zip(_layout(self.n, self.rank)[0], self._signs))
-
-    def value(self, support):
-        """Raw stored value on an ascending support tuple."""
-        return self._signs[_layout(self.n, self.rank)[1][tuple(support)]]
 
     def evaluate(self, simplex):
         """Sign of an arbitrary signed r-tuple; degenerate tuples give 0."""
@@ -294,12 +287,12 @@ def _first_c4_witness(g, prefix, free):
     all three by their product, so the first witness has a, b and c
     positive, the first ordered quadruple with [ab][cd] nonzero and
     neither -[ac][bd] nor [ad][bc] of the opposite sign, and d signed to
-    make f(a,b) f(c,d) < 0."""
-    for a, b, c, d in itertools.permutations(free, 4):
-        t1 = g[a][b] * g[c][d]
-        if t1 and t1 * g[a][c] * g[b][d] <= 0 and t1 * g[a][d] * g[b][c] >= 0:
-            return prefix + (a, b, c, -t1 * d)
-    return None
+    make f(a,b) f(c,d) < 0.  Called only once some a < b < c < d violates,
+    so some ordered quadruple of those four qualifies."""
+    return next(prefix + (a, b, c, -t1 * d)
+                for a, b, c, d in itertools.permutations(free, 4)
+                if (t1 := g[a][b] * g[c][d])
+                and t1 * g[a][c] * g[b][d] <= 0 and t1 * g[a][d] * g[b][c] >= 0)
 
 
 # ------------------------------------------------------------- realization
@@ -381,7 +374,7 @@ def det_sign(matrix) -> int:
     return sign * (1 if last > 0 else -1 if last < 0 else 0)
 
 
-def from_vectors(vectors, labels=None) -> SignMap:
+def from_vectors(vectors) -> SignMap:
     """Chirotope of a rational vector configuration: the value on each
     ascending r-subset is the exact determinant sign of those rows."""
     cfg = vectors if isinstance(vectors, VectorConfig) else VectorConfig(vectors)
@@ -391,7 +384,7 @@ def from_vectors(vectors, labels=None) -> SignMap:
     # the rows span rank r exactly when some r of them are independent
     if not any(signs):
         raise RealizationError(f"rows do not span rank {r}")
-    return SignMap(r, n, signs, labels)
+    return SignMap(r, n, signs)
 
 
 # ------------------------------------------------------------------ minors
@@ -409,7 +402,7 @@ def delete(m: SignMap, drop, allow_large=False):
         raise DeletionError(
             f"deleting {sorted(drop)} leaves {len(keep)} elements, fewer than rank {m.rank}"
         )
-    signs = [m.value(sup) for sup in itertools.combinations(keep, m.rank)]
+    signs = gather(m, (), itertools.combinations(keep, m.rank))
     sub = SignMap(m.rank, len(keep), signs, tuple(m.label_of(e) for e in keep))
     return sub, check_chirotope(sub, allow_large)
 

@@ -14,10 +14,13 @@ HLRank2 its rotation whose atom encodings come first, with those
 encodings, and HLHigher its distinct hyperlines in display order.  What
 is derived from that form (slot map, negation, bases, positive tuples,
 encoding) is computed on first use and kept on the object.  Components
-are shared: parse_hls and from_chirotope return one object per distinct
-component, so each is built, negated and read once.  check_hyperline
-checks a component once up to negation and, from rank 3, up to renaming
-its elements in order.  Negation reindexes the stored rotation.
+are shared: parse_hls returns one object per distinct component, and
+from_chirotope one per distinct Y or Z it builds (a negation is kept on
+its component), so each is negated and read once.  from_chirotope reads
+a rank 2 sequence, and each Z, off a pair table by counting.
+check_hyperline checks a component once up to negation and, from rank 3,
+up to renaming its elements in order.  Negation reindexes the stored
+rotation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import cached_property
 from . import chirotope
 from .chirotope import (SignMap, extendable_prefixes, gather, guard_check_size,
                         pair_table, uncovered)
-from .core import signed_elements, signed_sort_key
+from .core import signed_elements
 from .errors import ConstructionError, DeletionError, ValidationReport
 
 
@@ -153,14 +156,12 @@ class HLRank2(_Sequence):
     @cached_property
     def _table(self):
         """{a: {b}} over the positively oriented pairs (a, b): b lies in
-        one of the k - 1 atoms after a's and is not a copy of a."""
+        one of the k - 1 atoms after a's and is not a copy of a.  Read only
+        once the sequence checked clean: the period is even and `pos` set."""
         p = self.period
-        pos = None if p % 2 else self.pos
-        if pos is None:
-            return {}
         ring = self.enc * 2
         after = [frozenset().union(*ring[i + 1:i + p // 2]) for i in range(p)]
-        return {a: bs for a, i in pos.items() if (bs := after[i] if after[i]
+        return {a: bs for a, i in self.pos.items() if (bs := after[i] if after[i]
                 .isdisjoint((a, -a)) else after[i].difference((a, -a)))}
 
     @cached_property
@@ -469,11 +470,12 @@ def to_chirotope(x) -> SignMap:
 def from_chirotope(m: SignMap):
     """Build the hyperline sequence of a chirotope, on its labels.
 
-    Assumes a valid input; on arbitrary sign maps it either raises
-    ConstructionError or returns a structure that fails check_hyperline.
-    Rank 1 and 2 write labels into their output; each Y and Z is built
-    once per distinct sub-map, which carries its elements' labels, and
-    each hyperline's opposite is its components' negations."""
+    Assumes a valid input.  On an arbitrary sign map it raises
+    ConstructionError or returns a sequence that fails check_hyperline
+    or whose chirotope is not m.  Each Y is built once per distinct
+    sub-map, which carries its elements' labels; each Z is read off its
+    hyperline's pair table and kept once per distinct value; each
+    hyperline's opposite is its components' negations."""
     return _from_chirotope(m, {})
 
 
@@ -489,8 +491,7 @@ def _from_chirotope(m, memo):
     if r == 1:
         x = HLRank1(lab[e - 1] * v for (e,), v in m.items())
     elif r == 2:
-        x = HLRank2([lab[s - 1] if s > 0 else -lab[-s - 1] for s in a]
-                    for a in _rank2_atoms(m))
+        x = memo.setdefault(x := _rank2(pair_table(m, ()), range(1, m.n + 1), lab), x)
     else:
         hyperlines = []
         full = set(range(1, m.n + 1))
@@ -498,11 +499,11 @@ def _from_chirotope(m, memo):
             g = pair_table(m, prefix)
             # the elements off the hyperline: those completing prefix to a basis
             ec = [a for a in sorted(full) if any(g[a])]
-            cvals = [g[a][b] for a, b in itertools.combinations(ec, 2)]
-            z = _from_chirotope(SignMap(2, len(ec), cvals,
-                                        [lab[e - 1] for e in ec]), memo)
+            z = memo.setdefault(z := _rank2(g, ec, lab), z)
             eb = sorted(full.difference(ec))
-            bvals = gather(m, _first_positive_pair(g, ec),
+            # Y reads its values after the first positive pair of Z
+            e = ec[0]
+            bvals = gather(m, next((e, g[e][a] * a) for a in ec if g[e][a]),
                            itertools.combinations(eb, r - 2))
             y = _from_chirotope(SignMap(r - 2, len(eb), bvals,
                                         [lab[e - 1] for e in eb]), memo)
@@ -512,40 +513,24 @@ def _from_chirotope(m, memo):
     return x
 
 
-def _first_positive_pair(g, candidates):
-    """First signed pair (a, b) with sign(a) sign(b) g[|a|][|b|] = +1."""
-    signed = signed_elements(candidates)
-    return next((a, b) for a in signed for b in signed
-                if g[abs(a)][abs(b)] == (1 if (a > 0) == (b > 0) else -1))
-
-
-def _rank2_atoms(m):
-    """Atoms in order, each pivot's first successors: the elements v
-    with (pivot, v) positive and no such y with (v, y) negative.  The
-    signed elements y with (v, y) positive are kept as bit masks."""
-    signed = signed_elements(m.n)
-    g = pair_table(m, ())
-    bit = {v: 1 << i for i, v in enumerate(signed)}
-    plus = {s * a: sum(bit[s * g[a][b] * b] for b in range(1, m.n + 1) if g[a][b])
-            for a in range(1, m.n + 1) for s in (1, -1)}
-
-    def atom(pivot):
-        after = plus[pivot]
-        return frozenset(v for v in signed
-                         if after & bit[v] and not after & plus[-v])
-
-    atoms = []
-    cur = atom(1)
-    while True:
-        if not cur:
-            raise ConstructionError("rank 2 construction produced an empty atom")
-        atoms.append(cur)
-        if 1 in cur:
-            break
-        if len(atoms) > 4 * m.n + 4:
-            raise ConstructionError("rank 2 construction does not close up")
-        cur = atom(min(cur, key=signed_sort_key))
-    return atoms
+def _rank2(g, elems, labels):
+    """Rank 2 sequence on the signed copies of `elems`, read off the pair
+    table g by counting.  The signed elements v with value(e, v) > 0, e
+    the first element, are the half turn after e; each is placed by how
+    many of them come before it, those with value(u, v) > 0, so parallel
+    elements share a count.  The first atom holds the elements parallel to
+    e on e's side of the first of them."""
+    e = elems[0]
+    half = [g[e][a] * a for a in elems if g[e][a]]
+    after = {}  # how many half-turn elements come before -> the atom there
+    for v in half:
+        after.setdefault(sum(g[abs(u)][abs(v)] * u * v > 0 for u in half), []).append(v)
+    atoms = [after[k] for k in sorted(after)]
+    w = atoms[0][0]
+    atoms.insert(0, [s * a for a in elems if not g[e][a]
+                     for s in (1, -1) if s * g[a][abs(w)] * w > 0])
+    return HLRank2([labels[v - 1] if v > 0 else -labels[-v - 1] for v in a]
+                   for a in atoms + [[-v for v in a] for a in atoms])
 
 
 # ------------------------------------------------------------------ minors

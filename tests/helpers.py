@@ -444,7 +444,7 @@ def relabel_signmap(m, perm):
     inv = {v: k for k, v in perm.items()}
     value = parity_evaluator(m)
     values = {}
-    for s in m.supports():
+    for s, _ in m.items():
         values[s] = value(tuple(inv[e] for e in s))
     return SignMap(m.rank, m.n, values)
 
@@ -497,6 +497,30 @@ def neighbours(x):
         out += [HLHigher(x.rank, kept | {Hyperline(y, z), Hyperline(y.negation, z.negation)})
                 for y, z in pairs]
     return out
+
+
+def triangle_flip(x, a, b, c):
+    """The uniform rank 3 sequence x with the triangle a, b, c flipped, the
+    mutation of Bjorner et al., Oriented Matroids, ch. 7: on both
+    hyperlines of each flat {a}, {b} and {c}, the adjacent atoms holding
+    the other two elements swapped, together with their antipodes.  None
+    when some pair is not adjacent."""
+    out = []
+    for h in x.hyperlines:
+        (e,) = h.y.ground
+        if e not in (a, b, c):
+            out.append(h)
+            continue
+        pair = {a, b, c} - {e}
+        atoms = list(h.z.atoms)
+        p = len(atoms)
+        at = [i for i in range(p) if {abs(s) for s in atoms[i] | atoms[(i + 1) % p]} == pair]
+        if not at:
+            return None
+        for i in at:  # the pair and its antipodes
+            atoms[i], atoms[(i + 1) % p] = atoms[(i + 1) % p], atoms[i]
+        out.append(Hyperline(h.y, HLRank2(atoms)))
+    return HLHigher(x.rank, out)
 
 
 def route_disagreements(maps, seen):

@@ -32,8 +32,8 @@ class TestChi:
     def test_comments_and_blanks(self):
         text = "# rank then n\n\n2 3\n# body follows\n+-0\n\n"
         m = parse_chi(text)
-        assert m.value((1, 2)) == 1 and m.value((1, 3)) == -1
-        assert m.value((2, 3)) == 0
+        assert m.evaluate((1, 2)) == 1 and m.evaluate((1, 3)) == -1
+        assert m.evaluate((2, 3)) == 0
 
     def test_body_split_across_lines(self):
         assert parse_chi("2 4\n+-\n+-0+\n") == parse_chi("2 4\n+-+-0+\n")

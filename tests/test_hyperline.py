@@ -15,6 +15,8 @@ from helpers import (
     random_fullrank_rows,
     rotations_equal,
     route_disagreements,
+    triangle_flip,
+    uniform_rows,
     valid_signmaps,
 )
 from omkit import (
@@ -567,6 +569,29 @@ def test_check_agrees_with_the_chirotope_route_at_five_elements():
     for r, count in ((3, 15), (4, 10)):
         assert route_disagreements(valid_signmaps(rng, 5, r, count), seen) == []
     assert all(seen[r, ok] for r in (3, 4) for ok in (True, False)), seen
+
+
+def test_triangle_flips_agree_with_the_chirotope_route():
+    # the accept side of the agreement: negating one basis sign of a
+    # uniform rank 3 map gives a chirotope exactly when the triangle's
+    # flip on the sequence alone passes check_hyperline, and then the two
+    # are the same sequence
+    rng = random.Random(20261019)
+    accepted = rejected = 0
+    for n in (5, 6, 7):
+        for _ in range(8):
+            m = from_vectors(uniform_rows(rng, n, 3))
+            x = from_chirotope(m)
+            for t in itertools.combinations(range(1, n + 1), 3):
+                flipped = SignMap(3, n, {s: -v if s == t else v for s, v in m.items()})
+                y = triangle_flip(x, *t)
+                ok = check_chirotope(flipped).ok
+                assert ok == (y is not None and check_hyperline(y).ok), (m, t)
+                if ok:
+                    assert y == from_chirotope(flipped)
+                accepted += ok
+                rejected += not ok
+    assert accepted and rejected
 
 
 class TestSharedComponents:
