@@ -26,7 +26,7 @@ _EXPORTS = {
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
-                 "from_chirotope minor_hls to_chirotope",
+                 "from_chirotope to_chirotope",
 }
 # name -> the submodule defining it; a submodule's own name maps to itself
 _HOME = {name: module for module, names in _EXPORTS.items()

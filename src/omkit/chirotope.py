@@ -399,9 +399,8 @@ def delete(m: SignMap, drop, allow_large=False):
         raise ValueError(f"elements not in the ground set: {sorted(bad)}")
     keep = [e for e in range(1, m.n + 1) if e not in drop]
     if len(keep) < m.rank:
-        raise DeletionError(
-            f"deleting {sorted(drop)} leaves {len(keep)} elements, fewer than rank {m.rank}"
-        )
+        raise DeletionError(f"deleting {sorted(map(m.label_of, drop))} leaves {len(keep)} "
+                            f"elements, fewer than rank {m.rank}")
     signs = gather(m, (), itertools.combinations(keep, m.rank))
     sub = SignMap(m.rank, len(keep), signs, tuple(m.label_of(e) for e in keep))
     return sub, check_chirotope(sub, allow_large)
@@ -425,11 +424,11 @@ def contract(m: SignMap, fixed) -> SignMap:
     """Contract an independent ascending tuple: keep the elements that
     complete it to a nonzero basis and prepend it when reading values."""
     fixed = tuple(sorted(int(e) for e in fixed))
-    if len(set(fixed)) != len(fixed):
-        raise ValueError(f"repeated elements in {fixed}")
     bad = [e for e in fixed if not 1 <= e <= m.n]
     if bad:
         raise ValueError(f"elements not in the ground set: {sorted(bad)}")
+    if len(set(fixed)) != len(fixed):
+        raise ValueError(f"repeated elements in {tuple(map(m.label_of, fixed))}")
     if len(fixed) >= m.rank:
         raise ContractionError(
             f"contracting {len(fixed)} elements from rank {m.rank} leaves nothing"
@@ -440,7 +439,7 @@ def contract(m: SignMap, fixed) -> SignMap:
         if fset <= set(s):
             ground.update(set(s) - fset)
     if not ground:
-        raise ContractionError(f"no nonzero basis contains {fixed}")
+        raise ContractionError(f"no nonzero basis contains {tuple(map(m.label_of, fixed))}")
     keep = sorted(ground)
     k = len(fixed)
     signs = gather(m, fixed, itertools.combinations(keep, m.rank - k))

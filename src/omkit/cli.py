@@ -11,8 +11,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .chirotope import (SignMap, check_chirotope, contract, delete, enumerate_bodies,
-                        find_deletable, from_vectors, guard_check_size)
+from .chirotope import (check_chirotope, contract, delete, enumerate_bodies, find_deletable,
+                        from_vectors, guard_check_size)
 from .errors import OmError, ParseError
 from .formats import (parse_chi, parse_hls, parse_vec, render_rank2_svg, serialize_chi,
                       serialize_hls)
@@ -53,10 +53,11 @@ def _sniff(text: str) -> str:
     return "chi"
 
 
-def _load(text, fmt):
-    """Parse input into ('chi'|'hls'|'vec', object).  Vector input is size
-    guarded, then realized to a SignMap."""
-    fmt = fmt or _sniff(text)
+def _load(args):
+    """Parse args.file into ('chi'|'hls'|'vec', object).  Vector input is
+    size guarded, then realized to a SignMap."""
+    text = _read_text(args.file)
+    fmt = args.format or _sniff(text)
     if fmt == "hls":
         return "hls", parse_hls(text)
     if fmt == "vec":
@@ -64,28 +65,6 @@ def _load(text, fmt):
         guard_check_size(cfg.n, cfg.r, _env_large())
         return "vec", from_vectors(cfg)
     return "chi", parse_chi(text)
-
-
-def _as_chirotope(kind, obj):
-    if kind != "hls":
-        return obj
-    from .hyperline import to_chirotope
-
-    return to_chirotope(obj)
-
-
-def _as_sequence(kind, obj):
-    if kind == "hls":
-        return obj
-    from .hyperline import from_chirotope
-
-    return from_chirotope(obj)
-
-
-def _emit_id_map(m: SignMap):
-    if m.labels != tuple(range(1, m.n + 1)):
-        pairs = " ".join(f"{i + 1}={lab}" for i, lab in enumerate(m.labels))
-        print(f"ids: {pairs}", file=sys.stderr)
 
 
 def _report(kind, obj):
@@ -96,35 +75,45 @@ def _report(kind, obj):
     return check_hyperline(obj, _env_large())
 
 
-def _validated(kind, obj):
-    """Check the object; on violations print the report and return None."""
-    if kind == "vec":  # a realized configuration is a chirotope by construction
-        return obj
-    report = _report(kind, obj)
-    if not report.ok:
+def _valid(kind, obj, to):
+    """The input as a SignMap (to "chi") or a sequence (to "hls"), or None
+    once the report of its violations is printed.  A realized .vec is a
+    chirotope by construction, so it goes unchecked."""
+    if kind != "vec" and not (report := _report(kind, obj)).ok:
         print(report, file=sys.stderr)
         return None
-    return obj
+    if (kind == "hls") == (to == "hls"):
+        return obj
+    from . import hyperline
+
+    return hyperline.from_chirotope(obj) if to == "hls" else hyperline.to_chirotope(obj)
+
+
+def _write(path, x, to):
+    """Write x as .hls, or as .chi with an `ids:` line on stderr naming
+    the labels when they are not 1..n."""
+    if to == "hls":
+        _write_text(path, serialize_hls(x))
+        return
+    if x.labels != tuple(range(1, x.n + 1)):
+        pairs = " ".join(f"{i + 1}={lab}" for i, lab in enumerate(x.labels))
+        print(f"ids: {pairs}", file=sys.stderr)
+    _write_text(path, serialize_chi(x))
 
 
 # ------------------------------------------------------------- subcommands
 
 def _cmd_check(args):
-    report = _report(*_load(_read_text(args.file), args.format))
+    report = _report(*_load(args))
     print(report)
     return 0 if report.ok else 1
 
 
 def _cmd_convert(args):
-    kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj) is None:
+    x = _valid(*_load(args), args.to)
+    if x is None:
         return 1
-    if args.to == "chi":
-        m = _as_chirotope(kind, obj)
-        _emit_id_map(m)
-        _write_text(args.output, serialize_chi(m))
-    else:
-        _write_text(args.output, serialize_hls(_as_sequence(kind, obj)))
+    _write(args.output, x, args.to)
     return 0
 
 
@@ -141,10 +130,10 @@ def _parse_id_list(raw):
 def _cmd_minor(args):
     if not args.delete and not args.contract:
         raise ParseError("nothing to do: pass --delete and/or --contract")
-    kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj) is None:
+    kind, obj = _load(args)
+    m = _valid(kind, obj, "chi")
+    if m is None:
         return 1
-    m = _as_chirotope(kind, obj)
     allow = _env_large()
 
     if args.delete == "auto":
@@ -161,21 +150,18 @@ def _cmd_minor(args):
     if args.contract:
         m = contract(m, m.ids(_parse_id_list(args.contract)))
 
-    if kind == "hls":
-        _write_text(args.output, serialize_hls(_as_sequence("chi", m)))
-    else:
-        _emit_id_map(m)
-        _write_text(args.output, serialize_chi(m))
+    # the minor of a chirotope is one, so it goes unchecked like a .vec
+    to = "hls" if kind == "hls" else "chi"
+    _write(args.output, _valid("vec", m, to), to)
     return 0
 
 
 def _cmd_faces(args):
     from .faces import face_census, topes
 
-    kind, obj = _load(_read_text(args.file), args.format)
-    if _validated(kind, obj) is None:
+    m = _valid(*_load(args), "chi")
+    if m is None:
         return 1
-    m = _as_chirotope(kind, obj)
     if m.rank == 3:
         c = face_census(m, _env_large())
         print(f"V={c.vertices} E={c.edges} F={c.facets} euler={c.euler}")
@@ -190,12 +176,13 @@ def _cmd_faces(args):
 
 
 def _cmd_render(args):
-    kind, obj = _load(_read_text(args.file), args.format)
+    kind, obj = _load(args)
     if obj.rank != 2:
         raise ParseError(f"render needs rank 2, got rank {obj.rank}")
-    if _validated(kind, obj) is None:
+    x = _valid(kind, obj, "hls")
+    if x is None:
         return 1
-    _write_text(args.output, render_rank2_svg(_as_sequence(kind, obj)))
+    _write_text(args.output, render_rank2_svg(x))
     return 0
 
 

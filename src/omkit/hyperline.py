@@ -30,11 +30,10 @@ from bisect import bisect
 from collections import namedtuple
 from functools import cached_property
 
-from . import chirotope
 from .chirotope import (SignMap, extendable_prefixes, gather, guard_check_size,
                         pair_table, uncovered)
 from .core import signed_elements
-from .errors import ConstructionError, DeletionError, ValidationReport
+from .errors import ConstructionError, ValidationReport
 
 
 def _signed_sorted(elems):
@@ -531,18 +530,3 @@ def _rank2(g, elems, labels):
                      for s in (1, -1) if s * g[a][abs(w)] * w > 0])
     return HLRank2([labels[v - 1] if v > 0 else -labels[-v - 1] for v in a]
                    for a in atoms + [[-v for v in a] for a in atoms])
-
-
-# ------------------------------------------------------------------ minors
-
-def minor_hls(x, delete=(), contract=()):
-    """Minor through the associated chirotope: delete first (validated;
-    a non-chirotope deletion is an error), then contract, then rebuild."""
-    m = to_chirotope(x)
-    if delete:
-        m, report = chirotope.delete(m, m.ids(delete))
-        if not report.ok:
-            raise DeletionError("deletion does not leave a chirotope:\n" + str(report))
-    if contract:
-        m = chirotope.contract(m, m.ids(contract))
-    return from_chirotope(m)

@@ -499,16 +499,17 @@ def neighbours(x):
     return out
 
 
-def triangle_flip(x, a, b, c):
+def triangle_flip(x, a, b, c, flats=None):
     """The uniform rank 3 sequence x with the triangle a, b, c flipped, the
     mutation of Bjorner et al., Oriented Matroids, ch. 7: on both
     hyperlines of each flat {a}, {b} and {c}, the adjacent atoms holding
     the other two elements swapped, together with their antipodes.  None
-    when some pair is not adjacent."""
+    when some pair is not adjacent.  With `flats`, a subset of a, b, c,
+    only the hyperlines of those flats are swapped."""
     out = []
     for h in x.hyperlines:
         (e,) = h.y.ground
-        if e not in (a, b, c):
+        if e not in (flats or (a, b, c)):
             out.append(h)
             continue
         pair = {a, b, c} - {e}
@@ -525,25 +526,31 @@ def triangle_flip(x, a, b, c):
 
 def route_disagreements(maps, seen):
     """The sequences of the valid sign maps `maps`, and every sequence one
-    move away from them, on which check_hyperline disagrees with the
-    chirotope route: a sequence passes that route when its chirotope
-    passes check_chirotope and rebuilds to it (a ConstructionError is a
-    rejection).  seen counts the sequences checked by (rank, verdict)."""
-    from omkit import (ConstructionError, check_chirotope, check_hyperline,
-                       from_chirotope, to_chirotope)
+    move away from them, on which check_hyperline disagrees with
+    passes_chirotope_route.  seen counts the sequences checked by (rank,
+    verdict)."""
+    from omkit import check_hyperline, from_chirotope
 
     starts = {from_chirotope(m) for m in maps}
     bad = []
     for v in starts.union(*map(neighbours, starts)):
-        try:
-            m = to_chirotope(v)
-            ok = check_chirotope(m).ok and from_chirotope(m) == v
-        except ConstructionError:
-            ok = False
+        ok = passes_chirotope_route(v)
         if check_hyperline(v).ok != ok:
             bad.append(v)
         seen[v.rank, ok] += 1
     return bad
+
+
+def passes_chirotope_route(v):
+    """Whether the chirotope of the sequence v passes check_chirotope and
+    rebuilds to v; a ConstructionError is a rejection."""
+    from omkit import ConstructionError, check_chirotope, from_chirotope, to_chirotope
+
+    try:
+        m = to_chirotope(v)
+        return check_chirotope(m).ok and from_chirotope(m) == v
+    except ConstructionError:
+        return False
 
 
 # --------------------------------------------------------------- sampling

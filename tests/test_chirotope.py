@@ -22,7 +22,6 @@ from helpers import (
 from omkit import (
     ContractionError,
     DeletionError,
-    HLRank2,
     NoDeletableElement,
     OrientationClass,
     RealizationError,
@@ -36,7 +35,6 @@ from omkit import (
     det_sign,
     find_deletable,
     from_vectors,
-    minor_hls,
     parse_chi,
 )
 from omkit import chirotope
@@ -137,9 +135,6 @@ class TestStorage:
         assert m.ids([2, 4, 7]) == [3, 1, 2]
         with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9, 8\]$"):
             m.ids([7, 9, 8])
-        for kw in ("delete", "contract"):
-            with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9, 8\]$"):
-                minor_hls(HLRank2([{1}, {2}, {-1}, {-2}]), **{kw: (9, 8)})
 
 
 class TestSizeLimits:

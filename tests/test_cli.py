@@ -250,7 +250,8 @@ class TestMinor:
         p.write_text(serialize_chi(from_vectors(rows)))
         res = run_om("minor", str(p), "--delete", "1")
         assert res.returncode == 1
-        assert "violated" in res.stderr
+        assert res.stderr == ("deletion does not leave a chirotope:\n"
+                              "C1 violated: element 2 lies in no nonzero basis\n")
 
     def test_no_flags(self, frame4):
         res = run_om("minor", frame4)
@@ -259,6 +260,32 @@ class TestMinor:
     def test_unknown_id(self, frame4):
         res = run_om("minor", frame4, "--delete", "9")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag, raw", [("--contract", ",,"), ("--delete", ",,"),
+                                           ("--delete", "x"), ("--contract", "1,,y")])
+    def test_bad_element_list(self, frame4, flag, raw, capsys):
+        from omkit import cli
+
+        assert cli.main(["minor", frame4, flag, raw]) == 2
+        assert capsys.readouterr() == ("", f"error: bad element list {raw!r}\n")
+
+    def test_repeated_contraction_names_labels(self, tmp_path, capsys):
+        # after deleting 1 the elements 2, 3, 4 hold ids 1, 2, 3
+        from omkit import cli
+
+        p = tmp_path / "f.chi"
+        p.write_text("3 4\n++++\n")
+        assert cli.main(["minor", str(p), "--delete", "1", "--contract", "2,2"]) == 2
+        assert capsys.readouterr() == ("", "error: repeated elements in (2, 2)\n")
+
+    def test_short_deletion_names_labels(self, tmp_path, capsys):
+        from omkit import HLRank2, cli
+
+        p = tmp_path / "odd.hls"
+        p.write_text(serialize_hls(HLRank2([{2}, {5}, {9}, {-2}, {-5}, {-9}])))
+        assert cli.main(["minor", str(p), "--delete", "5,9"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: deleting [5, 9] leaves 1 elements, fewer than rank 2\n")
 
     def test_unknown_ids_in_given_order(self, frame4):
         for flag in ("--delete", "--contract"):
@@ -513,7 +540,7 @@ EXPORTS = {
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
-                 "from_chirotope minor_hls to_chirotope",
+                 "from_chirotope to_chirotope",
 }
 
 

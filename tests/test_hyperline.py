@@ -12,6 +12,7 @@ from helpers import (
     literal_key,
     literal_negation,
     literal_period2_paths,
+    passes_chirotope_route,
     random_fullrank_rows,
     rotations_equal,
     route_disagreements,
@@ -21,7 +22,6 @@ from helpers import (
 )
 from omkit import (
     ConstructionError,
-    DeletionError,
     HLHigher,
     HLRank1,
     HLRank2,
@@ -35,7 +35,7 @@ from omkit import (
     delete,
     from_chirotope,
     from_vectors,
-    minor_hls,
+    serialize_hls,
     to_chirotope,
 )
 
@@ -410,47 +410,60 @@ class TestConversion:
 
 
 class TestMinorHls:
-    def test_delete(self):
-        m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        x = from_chirotope(m)
-        y = minor_hls(x, delete=(4,))
+    """`om minor` on a .hls file answers with the sequence of the chirotope
+    route's minor, serialize_hls(from_chirotope(contract(delete(...)))),
+    the deletion checked before the contraction."""
+
+    FRAME4 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+    @staticmethod
+    def minor(tmp_path, capsys, x, *argv):
+        from omkit import cli
+
+        p = tmp_path / "x.hls"
+        p.write_text(serialize_hls(x))
+        return cli.main(["minor", str(p), *argv]), *capsys.readouterr()
+
+    def test_delete(self, tmp_path, capsys):
+        m = from_vectors(self.FRAME4)
         sub, report = delete(m, {4})
         assert report.ok
-        assert y == from_chirotope(sub)
+        assert self.minor(tmp_path, capsys, from_chirotope(m), "--delete", "4") == (
+            0, serialize_hls(from_chirotope(sub)), "")
 
-    def test_contract(self):
-        m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        x = from_chirotope(m)
-        y = minor_hls(x, contract=(4,))
-        assert y == from_chirotope(contract(m, [4]))
+    def test_contract(self, tmp_path, capsys):
+        m = from_vectors(self.FRAME4)
+        assert self.minor(tmp_path, capsys, from_chirotope(m), "--contract", "4") == (
+            0, serialize_hls(from_chirotope(contract(m, [4]))), "")
 
-    def test_delete_then_contract(self):
-        m = from_vectors(
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)]
-        )
-        x = from_chirotope(m)
-        y = minor_hls(x, delete=(5,), contract=(1,))
-        sub, _ = delete(m, {5})
-        assert y == from_chirotope(contract(sub, [1]))
+    def test_delete_then_contract(self, tmp_path, capsys):
+        m = from_vectors(self.FRAME4 + [(1, 2, 0)])
+        sub, report = delete(m, {5})
+        assert report.ok
+        assert self.minor(tmp_path, capsys, from_chirotope(m),
+                          "--delete", "5", "--contract", "1") == (
+            0, serialize_hls(from_chirotope(contract(sub, [1]))), "")
 
-    def test_invalid_delete_raises(self):
-        # removing both spanning elements of the plane breaks the result
-        m = from_vectors([(1, 0), (0, 1), (0, 2), (0, 3)])
-        x = from_chirotope(m)
-        with pytest.raises(DeletionError):
-            minor_hls(x, delete=(1,))
+    def test_invalid_delete_raises(self, tmp_path, capsys):
+        # removing one of the two spanning directions of the plane leaves
+        # three parallel elements
+        x = from_chirotope(from_vectors([(1, 0), (0, 1), (0, 2), (0, 3)]))
+        assert self.minor(tmp_path, capsys, x, "--delete", "1") == (
+            1, "", "deletion does not leave a chirotope:\n"
+                   "C1 violated: element 2 lies in no nonzero basis\n")
 
-    def test_unknown_ids(self):
-        x = HLRank2(HEXA)
-        with pytest.raises(ValueError):
-            minor_hls(x, delete=(9,))
-        with pytest.raises(ValueError):
-            minor_hls(x, contract=(9,))
+    def test_unknown_ids(self, tmp_path, capsys):
+        for flag in ("--delete", "--contract"):
+            assert self.minor(tmp_path, capsys, HLRank2(HEXA), flag, "9") == (
+                2, "", "error: elements not in the ground set: [9]\n")
 
-    def test_minor_with_odd_labels(self):
+    def test_minor_with_odd_labels(self, tmp_path, capsys):
         x = HLRank2([{2}, {5}, {9}, {-2}, {-5}, {-9}])
-        y = minor_hls(x, delete=(5,))
-        assert y.ground == {2, 9}
+        m = to_chirotope(x)
+        sub, report = delete(m, m.ids([5]))
+        assert report.ok and sub.labels == (2, 9)
+        assert self.minor(tmp_path, capsys, x, "--delete", "5") == (
+            0, serialize_hls(from_chirotope(sub)), "")
 
 
 def _mutated_z(rng, z):
@@ -575,9 +588,12 @@ def test_triangle_flips_agree_with_the_chirotope_route():
     # the accept side of the agreement: negating one basis sign of a
     # uniform rank 3 map gives a chirotope exactly when the triangle's
     # flip on the sequence alone passes check_hyperline, and then the two
-    # are the same sequence
+    # are the same sequence.  The reject side: a near-flip, the swaps on
+    # one or two of a flippable triangle's three flats only, fails both
+    # check_hyperline and the chirotope route; one near-flip per triangle,
+    # taking the six kinds in turn, keeps the test under a second
     rng = random.Random(20261019)
-    accepted = rejected = 0
+    accepted = rejected = near = 0
     for n in (5, 6, 7):
         for _ in range(8):
             m = from_vectors(uniform_rows(rng, n, 3))
@@ -591,7 +607,12 @@ def test_triangle_flips_agree_with_the_chirotope_route():
                     assert y == from_chirotope(flipped)
                 accepted += ok
                 rejected += not ok
-    assert accepted and rejected
+                if y is not None:
+                    flats = [f for k in (1, 2) for f in itertools.combinations(t, k)]
+                    v = triangle_flip(x, *t, flats=flats[near % len(flats)])
+                    assert not check_hyperline(v).ok and not passes_chirotope_route(v), (m, t)
+                    near += 1
+    assert accepted and rejected and near
 
 
 class TestSharedComponents:
