@@ -20,8 +20,7 @@ _EXPORTS = {
                  "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
-              "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
-              "ValidationReport Violation",
+              "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",

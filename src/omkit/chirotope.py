@@ -9,6 +9,9 @@ check_chirotope verifies the alternating-map axioms directly: C1 (every
 element in a nonzero basis), C3 (basis exchange), and C4 (three-term sign
 consistency).  C2 never needs checking because evaluation routes every
 tuple through the canonical simplex form, which builds the alternation in.
+It is the only validation here: from_vectors, delete and contract assume
+a chirotope, refuse only what they cannot build, and build a minor of an
+unchecked map all the same.
 
 The C4 scan quantifies over all signed (r+2)-tuples.  Since the three
 products compared share their first r-2 entries, the scan iterates over
@@ -35,7 +38,6 @@ from .core import normalize
 from .errors import (
     ContractionError,
     DeletionError,
-    NoDeletableElement,
     RealizationError,
     SizeGuardError,
     ValidationReport,
@@ -389,46 +391,45 @@ def from_vectors(vectors) -> SignMap:
 
 # ------------------------------------------------------------------ minors
 
-def delete(m: SignMap, drop, allow_large=False):
-    """Restrict to the complement of `drop`.  Returns (SignMap, report):
-    a deletion is not a chirotope in general, so the result is always
-    validated and the report handed back with it."""
-    drop = {int(e) for e in drop}
-    bad = [e for e in drop if not 1 <= e <= m.n]
+def _element_ids(m, elems):
+    """elems as an ascending tuple of ids, each in 1..n and none repeated."""
+    elems = tuple(sorted(int(e) for e in elems))
+    bad = [e for e in elems if not 1 <= e <= m.n]
     if bad:
-        raise ValueError(f"elements not in the ground set: {sorted(bad)}")
+        raise ValueError(f"elements not in the ground set: {bad}")
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"repeated elements in {tuple(map(m.label_of, elems))}")
+    return elems
+
+
+def delete(m: SignMap, drop) -> SignMap:
+    """Restrict to the elements outside `drop`.  Refuses a set that no
+    nonzero basis avoids, as the restriction would drop the rank; every
+    other deletion of a chirotope is one (Bjorner et al., ch. 3)."""
+    drop = _element_ids(m, drop)
     keep = [e for e in range(1, m.n + 1) if e not in drop]
-    if len(keep) < m.rank:
-        raise DeletionError(f"deleting {sorted(map(m.label_of, drop))} leaves {len(keep)} "
-                            f"elements, fewer than rank {m.rank}")
     signs = gather(m, (), itertools.combinations(keep, m.rank))
-    sub = SignMap(m.rank, len(keep), signs, tuple(m.label_of(e) for e in keep))
-    return sub, check_chirotope(sub, allow_large)
+    if not any(signs):
+        raise DeletionError(f"deleting {list(map(m.label_of, drop))} drops the rank: "
+                            "no nonzero basis avoids them")
+    return SignMap(m.rank, len(keep), signs, tuple(m.label_of(e) for e in keep))
 
 
-def find_deletable(m: SignMap, allow_large=False) -> tuple:
-    """(e, deletion) for the smallest element e whose deletion validates
-    as a rank-preserving chirotope.  On a chirotope with n > r, any element
-    that some nonzero basis avoids can be deleted; on any other sign map a
-    candidate may fail, so each is validated before it is returned."""
-    if m.n <= m.rank:
-        raise NoDeletableElement(f"n = rank = {m.rank}: nothing can be deleted")
-    for e in range(1, m.n + 1):
-        sub, report = delete(m, {e}, allow_large)
-        if report.ok:
-            return e, sub
-    raise NoDeletableElement("no single element deletes to a valid chirotope")
+def find_deletable(m: SignMap) -> tuple:
+    """(e, delete(m, {e})) for the smallest element e that some nonzero
+    basis avoids; refuses with DeletionError when there is none."""
+    nz = m.nonzero_supports()
+    e = next((e for e in range(1, m.n + 1) if any(e not in s for s in nz)), None)
+    if e is None:
+        raise DeletionError("no nonzero basis avoids any single element")
+    return e, delete(m, {e})
 
 
 def contract(m: SignMap, fixed) -> SignMap:
-    """Contract an independent ascending tuple: keep the elements that
-    complete it to a nonzero basis and prepend it when reading values."""
-    fixed = tuple(sorted(int(e) for e in fixed))
-    bad = [e for e in fixed if not 1 <= e <= m.n]
-    if bad:
-        raise ValueError(f"elements not in the ground set: {sorted(bad)}")
-    if len(set(fixed)) != len(fixed):
-        raise ValueError(f"repeated elements in {tuple(map(m.label_of, fixed))}")
+    """Contract an independent tuple: keep the elements that complete it
+    to a nonzero basis and prepend it when reading values.  Refuses a
+    tuple that no nonzero basis contains."""
+    fixed = _element_ids(m, fixed)
     if len(fixed) >= m.rank:
         raise ContractionError(
             f"contracting {len(fixed)} elements from rank {m.rank} leaves nothing"

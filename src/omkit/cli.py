@@ -128,26 +128,21 @@ def _parse_id_list(raw):
 
 
 def _cmd_minor(args):
-    if not args.delete and not args.contract:
+    if args.delete is None and args.contract is None:
         raise ParseError("nothing to do: pass --delete and/or --contract")
     kind, obj = _load(args)
     m = _valid(kind, obj, "chi")
     if m is None:
         return 1
-    allow = _env_large()
 
     if args.delete == "auto":
-        e, sub = find_deletable(m, allow)
+        e, sub = find_deletable(m)
         print(f"deleting element {m.label_of(e)}", file=sys.stderr)
         m = sub
-    elif args.delete:
-        m, report = delete(m, m.ids(_parse_id_list(args.delete)), allow)
-        if not report.ok:
-            print("deletion does not leave a chirotope:", file=sys.stderr)
-            print(report, file=sys.stderr)
-            return 1
+    elif args.delete is not None:
+        m = delete(m, m.ids(_parse_id_list(args.delete)))
 
-    if args.contract:
+    if args.contract is not None:
         m = contract(m, m.ids(_parse_id_list(args.contract)))
 
     # the minor of a chirotope is one, so it goes unchecked like a .vec

@@ -24,15 +24,11 @@ class RealizationError(OmError):
 
 
 class DeletionError(OmError):
-    """Deletion precondition failed, or the deletion result is not a chirotope."""
+    """Deletion would drop the rank: no nonzero basis avoids the deleted set."""
 
 
 class ContractionError(OmError):
     """Contraction precondition failed."""
-
-
-class NoDeletableElement(OmError):
-    """No element can be removed while keeping a rank-preserving chirotope."""
 
 
 class ConstructionError(OmError):

@@ -103,7 +103,8 @@ def commands(rng, name, labels, rank):
     too_many = ",".join(map(str, labels[:len(labels) - rank + 1]))
     minors = [["--delete", "auto"], ["--delete", str(a)], ["--contract", str(a)],
               ["--delete", str(a), "--contract", str(b)], ["--contract", f"{a},{b}"],
-              ["--delete", too_many], ["--contract", f"{a},{a}"], ["--delete", "99"],
+              ["--delete", too_many], ["--contract", f"{a},{a}"], ["--delete", f"{a},{a}"],
+              ["--delete", "", "--contract", str(b)], ["--delete", "99"],
               [rng.choice(("--delete", "--contract")), bad], []]
     yield "check", ["check", name]
     yield "convert-chi", ["convert", name, "--to", "chi"]

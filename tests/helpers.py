@@ -603,6 +603,17 @@ def random_signmap(rng, n, r):
     return SignMap(r, n, values)
 
 
+def literal_restriction(m, drop):
+    """m on the elements outside drop, renumbered 1..k in order, each value
+    read through m.evaluate; None when fewer than rank elements remain."""
+    keep = [e for e in range(1, m.n + 1) if e not in drop]
+    if len(keep) < m.rank:
+        return None
+    return SignMap(m.rank, len(keep), {
+        s: m.evaluate([keep[i - 1] for i in s])
+        for s in itertools.combinations(range(1, len(keep) + 1), m.rank)})
+
+
 def valid_signmaps(rng, n, r, count):
     """count distinct valid sign maps at (n, r), drawn uniformly from the
     valid ones by rejecting random sign maps that fail check_chirotope."""

@@ -16,9 +16,9 @@ from helpers import random_fullrank_rows
 from omkit import (
     ConstructionError,
     ContractionError,
+    DeletionError,
     HLRank1,
     HLRank2,
-    NoDeletableElement,
     SignMap,
     VectorConfig,
     bases,
@@ -168,7 +168,7 @@ def test_criterion_6_topes_match_feasibility():
 
 def test_criterion_7_minors_cohere(corpus):
     # On the roundtrip corpus: the scan for a deletable element succeeds
-    # and validates whenever n > r, and every admissible single-element
+    # whenever n > r and its deletion validates, and every admissible single-element
     # contraction is again a valid chirotope.  Precondition failures raise
     # the documented errors.
     contractions = 0
@@ -177,7 +177,7 @@ def test_criterion_7_minors_cohere(corpus):
         if n > r:
             e, sub = find_deletable(m)
             assert check_chirotope(sub).ok
-            assert sub == delete(m, {e})[0]
+            assert sub == delete(m, {e})
         if r == 1:
             with pytest.raises(ContractionError):
                 contract(m, [1])
@@ -191,7 +191,7 @@ def test_criterion_7_minors_cohere(corpus):
             contractions += 1
     assert contractions >= 200
     for d in (1, 2, 3):
-        with pytest.raises(NoDeletableElement):
+        with pytest.raises(DeletionError):
             find_deletable(canonical_arrangement(d, 1))
 
 

@@ -12,17 +12,20 @@ from helpers import (
     literal_c3_witness,
     literal_c4,
     literal_c4_witness,
+    literal_restriction,
     parity_evaluator,
     quotient_coords,
     random_fullrank_rows,
     random_signmap,
     relabel_signmap,
+    rows_with_extra,
     signmap_cocircuits,
+    uniform_rows,
+    valid_signmaps,
 )
 from omkit import (
     ContractionError,
     DeletionError,
-    NoDeletableElement,
     OrientationClass,
     RealizationError,
     SignMap,
@@ -390,22 +393,24 @@ class TestRealization:
 class TestMinors:
     def test_delete_reports(self):
         m = from_vectors(FRAME4)
-        sub, report = delete(m, {4})
-        assert report.ok
+        sub = delete(m, {4})
         assert dict(sub.items()) == {(1, 2, 3): 1}
         assert sub.labels == (1, 2, 3)
 
     def test_delete_relabels(self):
         m = from_vectors(FRAME4)
-        sub, _ = delete(m, {1})
+        sub = delete(m, {1})
         assert sub.labels == (2, 3, 4)
         assert sub.evaluate((1, 2, 3)) == m.evaluate((2, 3, 4))
 
     def test_delete_can_invalidate(self):
-        # dropping both spanning elements of a line kills C1 downstream
+        # dropping both elements off the y axis leaves two parallel ones:
+        # the rank drops, so the deletion is refused, naming the labels
         m = from_vectors([(1, 0), (0, 1), (0, 2), (1, 1)])
-        sub, report = delete(m, {1, 4})
-        assert not report.ok
+        with pytest.raises(DeletionError, match=r"^deleting \[1, 4\] drops the rank"):
+            delete(m, {1, 4})
+        with pytest.raises(ValueError, match=r"^repeated elements in \(2, 2\)"):
+            delete(m, [2, 2])
 
     def test_delete_too_many(self):
         m = from_vectors(TRIANGLE)
@@ -418,22 +423,59 @@ class TestMinors:
 
     def test_find_deletable_smallest(self):
         m = from_vectors(FRAME4)
-        assert find_deletable(m) == (1, delete(m, {1})[0])
+        assert find_deletable(m) == (1, delete(m, {1}))
 
     def test_find_deletable_skips_essential(self):
         # element 1 spans the x axis alone: deleting it drops the rank,
         # so the scan moves past it
         m = from_vectors([(1, 0), (0, 1), (0, 2), (0, 3)])
-        assert find_deletable(m) == (2, delete(m, {2})[0])
-        _, report = delete(m, {1})
-        assert not report.ok
+        assert find_deletable(m) == (2, delete(m, {2}))
+        with pytest.raises(DeletionError):
+            delete(m, {1})
 
     def test_find_deletable_exhausted(self):
-        with pytest.raises(NoDeletableElement):
+        with pytest.raises(DeletionError):
             find_deletable(from_vectors(TRIANGLE[:2]))
-        # n > r, but no deletion of the all-zero map is a chirotope
-        with pytest.raises(NoDeletableElement, match="^no single element deletes"):
+        # n > r, but the all-zero map has no nonzero basis to avoid anything
+        with pytest.raises(DeletionError, match="^no nonzero basis avoids any"):
             find_deletable(SignMap(2, 3))
+
+    def test_delete_accepts_exactly_the_chirotope_restrictions(self):
+        # delete refuses only a rank drop, so on a chirotope it must accept
+        # exactly the deletions whose restriction, read independently of
+        # delete and gather, passes the check; find_deletable picks the
+        # smallest single element that does
+        rng = random.Random(20261019)
+        maps = []
+        for r in range(2, 6):
+            for n in range(max(4, r + 1), 10):
+                maps.append(from_vectors(uniform_rows(rng, n, r)))
+                maps += [from_vectors(rows_with_extra(rng, n, r, kind))
+                         for kind in ("dependent", "parallel")]
+        # (6, 2) would take over a second to sample
+        for n, r, count in ((4, 2, 30), (4, 3, 20), (5, 2, 30), (5, 3, 30), (5, 4, 30),
+                            (6, 5, 30)):
+            maps += valid_signmaps(rng, n, r, count)
+        refused = 0
+        for m in maps:
+            deletable = []
+            for k in (1, 2):
+                for drop in itertools.combinations(range(1, m.n + 1), k):
+                    want = literal_restriction(m, drop)
+                    ok = want is not None and check_chirotope(want).ok
+                    try:
+                        sub = delete(m, drop)
+                    except DeletionError:
+                        assert not ok, (m, drop)
+                        refused += 1
+                        continue
+                    assert ok and sub == want, (m, drop)
+                    assert sub.labels == tuple(e for e in m.labels if e not in drop)
+                    if k == 1:
+                        deletable.append(drop[0])
+            # n > r, so some element is no coloop
+            assert find_deletable(m) == (deletable[0], delete(m, deletable[:1]))
+        assert len(maps) == 233 and refused > 1000, (len(maps), refused)
 
     def test_contract_example(self):
         m = from_vectors(FRAME4)

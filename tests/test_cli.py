@@ -8,6 +8,7 @@ import pytest
 
 import omkit
 from omkit import (
+    SignMap,
     enumerate_bodies,
     from_chirotope,
     from_vectors,
@@ -212,8 +213,8 @@ class TestMinor:
         assert "ids: 1=2 2=3 3=4" in res.stderr
 
     def test_delete_auto_checks_the_deletion_once(self, tmp_path, monkeypatch, capsys):
-        # find_deletable hands back the deletion it validated, so the
-        # command validates the input once and the 4-element deletion once
+        # the minor of a checked chirotope is one, so the command checks
+        # the input once and the 4-element deletion not at all
         import collections
 
         from omkit import chirotope, cli
@@ -231,7 +232,7 @@ class TestMinor:
         monkeypatch.setattr(chirotope, "check_chirotope", counted)
         monkeypatch.setattr(cli, "check_chirotope", counted)
         assert cli.main(["minor", str(p), "--delete", "auto"]) == 0
-        assert checked == {5: 1, 4: 1}
+        assert checked == {5: 1}
         assert capsys.readouterr().out == "3 4\n++-+\n"
 
     def test_contract(self, frame4):
@@ -250,8 +251,7 @@ class TestMinor:
         p.write_text(serialize_chi(from_vectors(rows)))
         res = run_om("minor", str(p), "--delete", "1")
         assert res.returncode == 1
-        assert res.stderr == ("deletion does not leave a chirotope:\n"
-                              "C1 violated: element 2 lies in no nonzero basis\n")
+        assert res.stderr == "error: deleting [1] drops the rank: no nonzero basis avoids them\n"
 
     def test_no_flags(self, frame4):
         res = run_om("minor", frame4)
@@ -262,21 +262,26 @@ class TestMinor:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("flag, raw", [("--contract", ",,"), ("--delete", ",,"),
-                                           ("--delete", "x"), ("--contract", "1,,y")])
+                                           ("--delete", "x"), ("--contract", "1,,y"),
+                                           ("--delete", ""), ("--contract", "")])
     def test_bad_element_list(self, frame4, flag, raw, capsys):
+        # each list is paired with a good one for the other flag, so an
+        # empty list cannot pass for "nothing to do"
         from omkit import cli
 
-        assert cli.main(["minor", frame4, flag, raw]) == 2
+        other = {"--delete": "--contract", "--contract": "--delete"}[flag]
+        assert cli.main(["minor", frame4, flag, raw, other, "1"]) == 2
         assert capsys.readouterr() == ("", f"error: bad element list {raw!r}\n")
 
-    def test_repeated_contraction_names_labels(self, tmp_path, capsys):
-        # after deleting 1 the elements 2, 3, 4 hold ids 1, 2, 3
+    @pytest.mark.parametrize("flag", ["--delete", "--contract"])
+    def test_repeated_contraction_names_labels(self, flag, tmp_path, capsys):
+        # the elements labelled 2, 4, 6, 8 hold ids 1, 2, 3, 4
         from omkit import cli
 
-        p = tmp_path / "f.chi"
-        p.write_text("3 4\n++++\n")
-        assert cli.main(["minor", str(p), "--delete", "1", "--contract", "2,2"]) == 2
-        assert capsys.readouterr() == ("", "error: repeated elements in (2, 2)\n")
+        p = tmp_path / "f.hls"
+        p.write_text(serialize_hls(from_chirotope(SignMap(3, 4, [1] * 4, (2, 4, 6, 8)))))
+        assert cli.main(["minor", str(p), flag, "4,4"]) == 2
+        assert capsys.readouterr() == ("", "error: repeated elements in (4, 4)\n")
 
     def test_short_deletion_names_labels(self, tmp_path, capsys):
         from omkit import HLRank2, cli
@@ -285,7 +290,7 @@ class TestMinor:
         p.write_text(serialize_hls(HLRank2([{2}, {5}, {9}, {-2}, {-5}, {-9}])))
         assert cli.main(["minor", str(p), "--delete", "5,9"]) == 1
         assert capsys.readouterr() == (
-            "", "error: deleting [5, 9] leaves 1 elements, fewer than rank 2\n")
+            "", "error: deleting [5, 9] drops the rank: no nonzero basis avoids them\n")
 
     def test_unknown_ids_in_given_order(self, frame4):
         for flag in ("--delete", "--contract"):
@@ -526,7 +531,8 @@ class TestImports:
 
 
 # Every name `from omkit import *` bound while the package imported its
-# submodules eagerly, by the submodule defining it.
+# submodules eagerly, by the submodule defining it, less the two removed
+# since: minor_hls and NoDeletableElement.
 EXPORTS = {
     "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
                    "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
@@ -534,8 +540,7 @@ EXPORTS = {
                  "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
-              "NoDeletableElement OmError ParseError RealizationError SizeGuardError "
-              "ValidationReport Violation",
+              "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls serialize_vec",
