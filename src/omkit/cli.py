@@ -130,6 +130,9 @@ def _parse_id_list(raw):
 def _cmd_minor(args):
     if args.delete is None and args.contract is None:
         raise ParseError("nothing to do: pass --delete and/or --contract")
+    # read before the file: a malformed list exits 2 whatever the file holds
+    dels = None if args.delete in (None, "auto") else _parse_id_list(args.delete)
+    cons = None if args.contract is None else _parse_id_list(args.contract)
     kind, obj = _load(args)
     m = _valid(kind, obj, "chi")
     if m is None:
@@ -139,11 +142,11 @@ def _cmd_minor(args):
         e, sub = find_deletable(m)
         print(f"deleting element {m.label_of(e)}", file=sys.stderr)
         m = sub
-    elif args.delete is not None:
-        m = delete(m, m.ids(_parse_id_list(args.delete)))
+    elif dels is not None:
+        m = delete(m, m.ids(dels))
 
-    if args.contract is not None:
-        m = contract(m, m.ids(_parse_id_list(args.contract)))
+    if cons is not None:
+        m = contract(m, m.ids(cons))
 
     # the minor of a chirotope is one, so it goes unchecked like a .vec
     to = "hls" if kind == "hls" else "chi"
@@ -264,11 +267,11 @@ def _scan(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # -h or --help anywhere before "--" prints the usage
-    if {"-h", "--help"} & set(argv[:argv.index("--") if "--" in argv else None]):
-        sys.stdout.write(USAGE)
-        return 0
     try:
+        # -h or --help anywhere before "--" prints the usage
+        if {"-h", "--help"} & set(argv[:argv.index("--") if "--" in argv else None]):
+            sys.stdout.write(USAGE)
+            return 0
         fn, args = _scan(argv)
         return fn(args)
     except _UsageError as e:
@@ -282,5 +285,13 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The `om` process: main, then os._exit once the output is flushed."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:  # a closed pipe exits 2, as it does unbuffered
+        print(f"error: {e}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)

@@ -44,7 +44,7 @@ from omkit import (
 
 def om(*args):
     return subprocess.run(
-        [sys.executable, "-m", "omkit.cli", *args],
+        [sys.executable, "-m", "omkit", *args],
         capture_output=True,
         text=True,
     )

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import multiprocessing
 import os
@@ -28,7 +29,7 @@ def run_om(*args, stdin=None, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "omkit.cli", *args],
+        [sys.executable, "-m", "omkit", *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -273,6 +274,17 @@ class TestMinor:
         assert cli.main(["minor", frame4, flag, raw, other, "1"]) == 2
         assert capsys.readouterr() == ("", f"error: bad element list {raw!r}\n")
 
+    @pytest.mark.parametrize("flag, raw", [("--delete", ",,"), ("--contract", "x")])
+    def test_bad_element_list_on_an_invalid_file(self, tmp_path, flag, raw, capsys):
+        # the list is read before the file, so the exit code does not
+        # depend on whether the file passes the check
+        from omkit import cli
+
+        p = tmp_path / "bad.chi"
+        p.write_text("2 4\n+-++++\n")
+        assert cli.main(["minor", str(p), flag, raw]) == 2
+        assert capsys.readouterr() == ("", f"error: bad element list {raw!r}\n")
+
     @pytest.mark.parametrize("flag", ["--delete", "--contract"])
     def test_repeated_contraction_names_labels(self, flag, tmp_path, capsys):
         # the elements labelled 2, 4, 6, 8 hold ids 1, 2, 3, 4
@@ -464,9 +476,11 @@ class TestEnumerate:
 def loaded_by(*argv):
     """stdout, exit code and the set of loaded modules of `python -m omkit
     ARGV`, run through runpy in a fresh interpreter so that the module
-    table can be read after the command."""
+    table can be read after the command: os._exit, which would end the
+    process there, raises SystemExit instead."""
     code = (
-        "import runpy, sys\n"
+        "import os, runpy, sys\n"
+        "os._exit = sys.exit\n"
         "try:\n"
         "    runpy.run_module('omkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as e:\n"
@@ -716,3 +730,110 @@ class TestUsage:
             assert code != 2 or out == "", argv
             codes.append(code)
         assert {0, 1, 2} <= set(codes)
+
+
+# A 9-element rank 5 chirotope (points on the moment curve): `om faces`
+# lists its 326 topes in about 3 kB, which buffered stdout holds until the
+# process flushes it.
+RANK5 = from_vectors([(1, t, t * t, t**3, t**4) for t in range(1, 10)])
+RANK5_CHI = serialize_chi(RANK5)
+
+
+@pytest.fixture(params=["1", None], ids=["unbuffered", "buffered"])
+def om_env(request):
+    """The environment of an `om` child, with PYTHONUNBUFFERED set or
+    unset: stdout writes through at each write, or waits in a buffer that
+    the process flushes before it ends."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param:
+        env["PYTHONUNBUFFERED"] = request.param
+    return env
+
+
+def spawn_om(env, *args, python=(), **kwargs):
+    """`python [PYTHON] -m omkit ARGS` with stdout and stderr as bytes."""
+    return subprocess.run([sys.executable, *python, "-m", "omkit", *args], env=env,
+                          capture_output=True, **kwargs)
+
+
+class TestProcessExit:
+    """`python -m omkit` ends with os._exit once its output is flushed;
+    what it prints and how it exits stay those of cli.main in process."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        texts = {"bad.chi": BAD_CHI, "broken.chi": "2 4\n+-+\n", "rank5.chi": RANK5_CHI}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        return {name: str(tmp_path / name) for name in texts}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["-h"], 0),
+        (["check"], 2),                  # usage error
+        (["check", "broken.chi"], 2),    # parse error
+        (["check", "bad.chi"], 1),       # C4 report
+        (["faces", "rank5.chi"], 0),     # tope list
+    ])
+    def test_same_as_in_process(self, om_env, files, argv, code, capsys):
+        from omkit import cli
+
+        argv = [files.get(a, a) for a in argv]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        res = spawn_om(om_env, *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (code, out.encode(), err.encode())
+
+    def test_output_files_are_complete(self, om_env, files, tmp_path):
+        hls, chi = tmp_path / "out.hls", tmp_path / "out.chi"
+        assert spawn_om(om_env, "convert", files["rank5.chi"], "--to", "hls",
+                        "-o", str(hls)).returncode == 0
+        assert hls.read_text() == serialize_hls(from_chirotope(RANK5))
+        assert spawn_om(om_env, "convert", str(hls), "--to", "chi",
+                        "-o", str(chi)).returncode == 0
+        assert chi.read_text() == RANK5_CHI
+
+    @pytest.mark.parametrize("argv, err", [
+        (["faces", "rank5.chi"], "face census applies to rank 3 only (rank 5); listing topes\n"),
+        (["-h"], ""),
+    ], ids=["faces", "help"])
+    def test_closed_stdout_exits_2(self, om_env, files, argv, err):
+        # the read end is closed before the child starts, so every write
+        # to the pipe fails, at the write or at the final flush
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = subprocess.run([sys.executable, "-m", "omkit", *(files.get(a, a) for a in argv)],
+                                 env=om_env, stdout=w, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(w)
+        assert (res.returncode, res.stderr) == (
+            2, f"{err}error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+    def test_jobs_leave_no_process(self, om_env, capsys):
+        from omkit import cli
+
+        argv = ["enumerate", "5", "3", "--uniform", "--bodies"]
+        assert cli.main([*argv, "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        proc = subprocess.Popen([sys.executable, "-m", "omkit", *argv, "--jobs", "2"],
+                                env=om_env, stdout=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (0, serial)
+        # the child led its own session; no process is left in it
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_no_warning_in_dev_mode(self, om_env, files, tmp_path):
+        out = str(tmp_path / "out")
+        for argv, code in ((["check", files["rank5.chi"]], 0),
+                           (["convert", files["rank5.chi"], "--to", "hls", "-o", out + ".hls"], 0),
+                           (["minor", out + ".hls", "--delete", "auto", "--contract", "2"], 0),
+                           (["faces", files["bad.chi"]], 1),
+                           (["enumerate", "4", "2", "--bodies", "--jobs", "2"], 0),
+                           (["render", "-", "-o", out + ".svg"], 0)):
+            res = spawn_om(om_env, *argv, python=("-X", "dev", "-W", "error"),
+                           input=TRIANGLE_CHI.encode())
+            assert res.returncode == code, argv
+            assert b"Warning" not in res.stderr and b"Exception ignored" not in res.stderr, argv
