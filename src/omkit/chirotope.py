@@ -43,7 +43,7 @@ from .errors import (
     ValidationReport,
 )
 
-MAX_CHECK_N = 9
+MAX_CHECK_N = 9  # the size guard the CLI applies to every loaded input
 MAX_CHECK_RANK = 5
 MAX_ENUM_MAPS = 3**10  # sign maps one enumeration may scan
 MAX_SIGNS = 10**6  # a SignMap of more signs is refused before allocation
@@ -153,18 +153,8 @@ def _layout(n, r):
 
 # ---------------------------------------------------------------- checking
 
-def guard_check_size(n, rank, allow_large):
-    """Refuse an axiom check past the default size guard."""
-    if not allow_large and (n > MAX_CHECK_N or rank > MAX_CHECK_RANK):
-        raise SizeGuardError(
-            f"axiom check guarded at n <= {MAX_CHECK_N}, rank <= {MAX_CHECK_RANK} "
-            f"(got n={n}, rank={rank}); lift explicitly to proceed"
-        )
-
-
-def check_chirotope(m: SignMap, allow_large=False) -> ValidationReport:
+def check_chirotope(m: SignMap) -> ValidationReport:
     """Check C1, C3, and C4; report one witness per violated axiom."""
-    guard_check_size(m.n, m.rank, allow_large)
     report = ValidationReport()
     missing = uncovered(m)
     if missing:
@@ -455,7 +445,7 @@ def _enum_chunk(task):
     count = 0
     bodies = []
     for signs in itertools.islice(itertools.product(values, repeat=comb(n, r)), lo, hi):
-        if check_chirotope(SignMap(r, n, list(signs)), allow_large=True).ok:
+        if check_chirotope(SignMap(r, n, list(signs))).ok:
             count += 1
             if want_bodies:
                 bodies.append("".join("-0+"[v + 1] for v in signs))
@@ -470,6 +460,8 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
     Returns (valid_count, total, bodies)."""
     if n < 1 or r < 1 or n < r:
         raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     width = comb(n, r)
     base = 2 if uniform else 3
     # 2**width passes the limit once width reaches the limit's bit length,
@@ -481,8 +473,6 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
             f"(limit {MAX_ENUM_MAPS}); lift explicitly to proceed"
         )
     total = base**width
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     jobs = min(jobs, total, os.cpu_count() or 1)
     tasks = []
     for j in range(jobs):

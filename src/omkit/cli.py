@@ -11,9 +11,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .chirotope import (check_chirotope, contract, delete, enumerate_bodies, find_deletable,
-                        from_vectors, guard_check_size)
-from .errors import OmError, ParseError
+from .chirotope import (MAX_CHECK_N, MAX_CHECK_RANK, check_chirotope, contract, delete,
+                        enumerate_bodies, find_deletable, from_vectors)
+from .errors import OmError, ParseError, SizeGuardError
 from .formats import (parse_chi, parse_hls, parse_vec, render_rank2_svg, serialize_chi,
                       serialize_hls)
 
@@ -47,32 +47,43 @@ def _sniff(text: str) -> str:
             continue
         if s.startswith("{"):
             return "hls"
-        if "," in s:
+        # a .chi header has two fields, a one-column .vec row one
+        if "," in s or len(s.split()) == 1:
             return "vec"
         return "chi"
     return "chi"
 
 
 def _load(args):
-    """Parse args.file into ('chi'|'hls'|'vec', object).  Vector input is
-    size guarded, then realized to a SignMap."""
+    """Parse args.file into ('chi'|'hls'|'vec', object), refused past the
+    size guard before a .vec is realized to a SignMap."""
     text = _read_text(args.file)
     fmt = args.format or _sniff(text)
     if fmt == "hls":
-        return "hls", parse_hls(text)
+        obj = parse_hls(text)
+        n, rank = len(obj.ground), obj.rank
+    elif fmt == "vec":
+        obj = parse_vec(text)
+        n, rank = obj.n, obj.r
+    else:
+        obj = parse_chi(text)
+        n, rank = obj.n, obj.rank
+    if (n > MAX_CHECK_N or rank > MAX_CHECK_RANK) and not _env_large():
+        raise SizeGuardError(
+            f"axiom check guarded at n <= {MAX_CHECK_N}, rank <= {MAX_CHECK_RANK} "
+            f"(got n={n}, rank={rank}); lift explicitly to proceed"
+        )
     if fmt == "vec":
-        cfg = parse_vec(text)
-        guard_check_size(cfg.n, cfg.r, _env_large())
-        return "vec", from_vectors(cfg)
-    return "chi", parse_chi(text)
+        obj = from_vectors(obj)
+    return fmt, obj
 
 
 def _report(kind, obj):
     if kind != "hls":
-        return check_chirotope(obj, _env_large())
+        return check_chirotope(obj)
     from .hyperline import check_hyperline
 
-    return check_hyperline(obj, _env_large())
+    return check_hyperline(obj)
 
 
 def _valid(kind, obj, to):
@@ -161,12 +172,12 @@ def _cmd_faces(args):
     if m is None:
         return 1
     if m.rank == 3:
-        c = face_census(m, _env_large())
+        c = face_census(m)
         print(f"V={c.vertices} E={c.edges} F={c.facets} euler={c.euler}")
         return 0
     print(f"face census applies to rank 3 only (rank {m.rank}); listing topes",
           file=sys.stderr)
-    ts = sorted(topes(m, _env_large()))
+    ts = sorted(topes(m))
     # one write: with unbuffered stdout each print is a system call
     sys.stdout.write("".join("".join("+" if v > 0 else "-" for v in t) + "\n" for t in ts)
                      + f"topes={len(ts)}\n")

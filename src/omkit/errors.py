@@ -40,8 +40,8 @@ class ArrangementError(OmError):
 
 
 class SizeGuardError(OmError):
-    """Input exceeds the default size guard. Guards exist because the axiom
-    scans are exponential in rank; they can be lifted explicitly."""
+    """Input past a size guard: the CLI's on every loaded input, or the
+    knob of enumerate_bodies or fm_realizable_topes (exponential work)."""
 
 
 class Violation(namedtuple("Violation", "axiom witness message")):

@@ -14,7 +14,7 @@ import itertools
 from collections import namedtuple
 from math import gcd
 
-from .chirotope import MAX_CHECK_N, SignMap, VectorConfig, cocircuit_masks
+from .chirotope import SignMap, VectorConfig, cocircuit_masks
 from .errors import SizeGuardError
 
 
@@ -66,12 +66,10 @@ def _restrict(parts, z):
             if not any(s | p | q == p | q != s for s in supports)]
 
 
-def _cells(m, allow_large, codims):
+def _cells(m, codims):
     """Cells of m as masks in sets by the rank of their zero sets, from 0
     (the topes) to r (the zero vector), the first `codims` of them.  Each
     flat is expanded once; D o Y has the zero set of Y in M|z."""
-    if m.n > MAX_CHECK_N and not allow_large:
-        raise SizeGuardError(f"cells of {m.n} elements; pass allow_large to force")
     memo = {}
 
     def star(w, rank, parts):
@@ -88,15 +86,14 @@ def _cells(m, allow_large, codims):
     return star((1 << m.n) - 1, m.rank, _cocircuit_masks(m))
 
 
-def covectors(m: SignMap, allow_large=False) -> set:
+def covectors(m: SignMap) -> set:
     """Every cell's sign vector, zero included."""
-    return {_vector(p, q, m.n) for cells in _cells(m, allow_large, m.rank + 1)
-            for p, q in cells}
+    return {_vector(p, q, m.n) for cells in _cells(m, m.rank + 1) for p, q in cells}
 
 
-def topes(m: SignMap, allow_large=False) -> set:
+def topes(m: SignMap) -> set:
     """Sign vectors of the full-dimensional cells."""
-    return {_vector(p, q, m.n) for p, q in _cells(m, allow_large, 1)[0]}
+    return {_vector(p, q, m.n) for p, q in _cells(m, 1)[0]}
 
 
 class FaceCensus(namedtuple("FaceCensus", "vertices edges facets")):
@@ -107,13 +104,13 @@ class FaceCensus(namedtuple("FaceCensus", "vertices edges facets")):
         return self.vertices - self.edges + self.facets
 
 
-def face_census(m: SignMap, allow_large=False) -> FaceCensus:
+def face_census(m: SignMap) -> FaceCensus:
     """Count cells by dimension for a rank 3 chirotope and verify Euler's
     relation.  A failure of the relation on a map that passed validation
     would be a bug, hence RuntimeError."""
     if m.rank != 3:
         raise ValueError("face census is defined for rank 3")
-    facets, edges, vertices = map(len, _cells(m, allow_large, 3))
+    facets, edges, vertices = map(len, _cells(m, 3))
     census = FaceCensus(vertices, edges, facets)
     if census.euler != 2:
         raise RuntimeError(f"Euler relation fails: {vertices} - {edges} + {facets} != 2")

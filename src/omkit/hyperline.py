@@ -30,8 +30,7 @@ from bisect import bisect
 from collections import namedtuple
 from functools import cached_property
 
-from .chirotope import (SignMap, extendable_prefixes, gather, guard_check_size,
-                        pair_table, uncovered)
+from .chirotope import SignMap, extendable_prefixes, gather, pair_table, uncovered
 from .core import signed_elements
 from .errors import ConstructionError, ValidationReport
 
@@ -265,10 +264,9 @@ def bases(x) -> set:
 
 # -------------------------------------------------------------- validation
 
-def check_hyperline(x, allow_large=False) -> ValidationReport:
+def check_hyperline(x) -> ValidationReport:
     """Check structure and H1..H4 on the sequence itself, never through
     its chirotope; report one witness per violated axiom."""
-    guard_check_size(len(x.ground), x.rank, allow_large)
     report = ValidationReport()
     _check(x, report, "", set())
     return report

@@ -18,6 +18,7 @@ from helpers import (
     random_fullrank_rows,
     random_signmap,
     relabel_signmap,
+    reorient_signmap,
     rows_with_extra,
     signmap_cocircuits,
     uniform_rows,
@@ -29,16 +30,17 @@ from omkit import (
     OrientationClass,
     RealizationError,
     SignMap,
-    SizeGuardError,
     VectorConfig,
     check_chirotope,
     classify_full,
     contract,
     delete,
     det_sign,
+    enumerate_bodies,
     find_deletable,
     from_vectors,
     parse_chi,
+    serialize_chi,
 )
 from omkit import chirotope
 
@@ -211,11 +213,10 @@ class TestCheck:
         assert not report.ok
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            check_chirotope(SignMap(2, 10))
-        with pytest.raises(SizeGuardError):
-            check_chirotope(SignMap(6, 6))
-        assert not check_chirotope(SignMap(2, 10), allow_large=True).ok
+        # the size guard is the CLI's (test_cli.TestSizeGuard): the check
+        # itself runs past n = 9 and rank 5
+        assert [v.axiom for v in check_chirotope(SignMap(2, 10)).violations] == ["C1"]
+        assert check_chirotope(SignMap(6, 6, [1])).ok
 
     def test_agrees_with_literal_oracle(self):
         rng = random.Random(7)
@@ -550,3 +551,23 @@ class TestClassify:
             classify_full(SignMap(2, 3))
         with pytest.raises(ValueError):
             classify_full(SignMap(2, 2))
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("n, r, size", [(4, 2, 48), (5, 3, 384)])
+    def test_uniform_bodies_form_one_orbit(self, n, r, size):
+        # a known count: there is one simple arrangement of 4 points on a
+        # line, and of 5 pseudolines (OEIS A006248), up to relabeling and
+        # reorientation, so the n! * 2^n images of one valid uniform body
+        # are every body the scan finds
+        count, _, bodies = enumerate_bodies(n, r, uniform=True, want_bodies=True)
+        elements = range(1, n + 1)
+        m = SignMap(r, n, ["-0+".index(c) - 1 for c in bodies[0]])
+        orbit = set()
+        for perm in itertools.permutations(elements):
+            images = [relabel_signmap(m, dict(zip(elements, perm)))]
+            for e in elements:
+                images += [reorient_signmap(x, e) for x in images]
+            orbit.update("".join(serialize_chi(x).splitlines()[1:]) for x in images)
+        assert count == len(bodies) == len(orbit) == size
+        assert orbit == set(bodies)

@@ -99,6 +99,20 @@ class TestCheck:
         res = run_om("check", "-", "--format", "vec", stdin="1,0\n0,1\n")
         assert res.returncode == 0
 
+    def test_one_column_vec_sniffed(self, tmp_path, capsys):
+        # a .chi header has two fields, so a first line of one is a .vec
+        # row; a one-field header is then refused by the .vec parser
+        from omkit import cli
+
+        line = tmp_path / "line.vec"
+        line.write_text("1\n2\n-3\n")
+        assert cli.main(["check", str(line)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        bad = tmp_path / "bad.chi"
+        bad.write_text("3\n++0-\n")
+        assert cli.main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: bad entry '++0-' (line 2, column 1)\n"
+
     def test_rank_deficient_vec(self):
         res = run_om("check", "-", "--format", "vec", stdin="1,0\n2,0\n-1,0\n")
         assert res.returncode == 1
@@ -165,6 +179,54 @@ class TestCheck:
         assert "expected 4999950000" in res.stderr
 
 
+class TestSizeGuard:
+    # one guard, n <= 9 and rank <= 5, on every loaded input whatever the
+    # command and the input's kind; OM_SIZE_OVERRIDE=1 lifts it
+    ARGS = {"check": [], "convert": ["--to", "hls"], "minor": ["--contract", "1"],
+            "faces": [], "render": []}
+
+    @staticmethod
+    def texts(rows):
+        m = from_vectors(rows)
+        return {"chi": serialize_chi(m), "hls": serialize_hls(from_chirotope(m)),
+                "vec": "".join(",".join(map(str, row)) + "\n" for row in rows)}
+
+    @pytest.mark.parametrize("kind", ["chi", "vec", "hls"])
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_every_command_and_kind(self, command, kind, tmp_path, monkeypatch, capsys):
+        from omkit import cli
+
+        path = tmp_path / f"big.{kind}"
+        path.write_text(self.texts([(1, k, k * k) for k in range(10)])[kind])
+        argv = [command, str(path), *self.ARGS[command]]
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: axiom check guarded at n <= 9, rank <= 5 "
+                                     "(got n=10, rank=3); lift explicitly to proceed\n")
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if command == "render":
+            assert (code, out, err) == (2, "", "error: render needs rank 2, got rank 3\n")
+        else:
+            assert code == 0 and out
+
+    @pytest.mark.parametrize("kind", ["chi", "vec", "hls"])
+    def test_rank_past_five(self, kind, tmp_path, monkeypatch, capsys):
+        from omkit import cli
+
+        path = tmp_path / f"big.{kind}"
+        path.write_text(self.texts([[int(i == j) for j in range(6)] for i in range(6)])[kind])
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "(got n=6, rank=6)" in err
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
 class TestConvert:
     def test_chi_hls_chi_identity(self, frame4):
         hls = run_om("convert", frame4, "--to", "hls")
@@ -226,9 +288,9 @@ class TestMinor:
         checked = collections.Counter()
         check = chirotope.check_chirotope
 
-        def counted(m, allow_large=False):
+        def counted(m):
             checked[m.n] += 1
-            return check(m, allow_large)
+            return check(m)
 
         monkeypatch.setattr(chirotope, "check_chirotope", counted)
         monkeypatch.setattr(cli, "check_chirotope", counted)
@@ -358,7 +420,7 @@ class TestRealizedInput:
         checked = []
         check = cli.check_chirotope
         monkeypatch.setattr(cli, "check_chirotope",
-                            lambda m, allow: checked.append(m) or check(m, allow))
+                            lambda m: checked.append(m) or check(m))
         rng = random.Random(404)
         for r in (2, 3, 4, 5):
             for kind in ("dependent", "parallel"):
@@ -441,6 +503,13 @@ class TestEnumerate:
 
         assert cli.main(["enumerate", "3", "2", "--jobs", "0"]) == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_checked_before_the_guard(self, capsys):
+        # a bad --jobs is a usage error at every N and R, guarded or not
+        from omkit import cli
+
+        assert cli.main(["enumerate", "6", "2", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be at least 1\n"
 
     def test_guard(self):
         res = run_om("enumerate", "7", "3")

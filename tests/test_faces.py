@@ -41,6 +41,7 @@ from omkit import (
     read_rank2,
     represent_rank1,
     represent_rank2,
+    serialize_chi,
     topes,
 )
 
@@ -95,8 +96,10 @@ class TestCovectors:
                 assert _compose(u, v) in cvs
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            covectors(SignMap(2, 10))
+        # the size guard is the CLI's (test_cli.TestSizeGuard): the cells
+        # of 10 lines in the plane are 20 topes, 20 rays and the origin
+        cvs = covectors(from_vectors([(1, k) for k in range(10)]))
+        assert sorted(sum(map(abs, v)) for v in cvs) == [0] + [9] * 20 + [10] * 20
 
 
 class TestTopes:
@@ -106,19 +109,25 @@ class TestTopes:
         assert all(all(v) for v in ts)
         assert (1, 1, 1, 1) in ts
 
-    def test_size_guard_before_work(self, monkeypatch):
+    def test_size_guard_before_work(self, tmp_path, monkeypatch, capsys):
+        # om faces refuses 10 elements before it reads a cocircuit; with
+        # the guard lifted the same command reaches them
         import omkit.faces
+        from omkit import cli
 
         def refuse(m):
             raise AssertionError("cocircuits read before the size guard")
 
         monkeypatch.setattr(omkit.faces, "_cocircuit_masks", refuse)
-        m = from_vectors(moment_curve(10))
-        for fn in (topes, face_census):
-            with pytest.raises(SizeGuardError):
-                fn(m)
-            with pytest.raises(AssertionError, match="before the size guard"):
-                fn(m, allow_large=True)
+        big = tmp_path / "big.chi"
+        big.write_text(serialize_chi(from_vectors(moment_curve(10))))
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(["faces", str(big)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "guarded" in err
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        with pytest.raises(AssertionError, match="before the size guard"):
+            cli.main(["faces", str(big)])
 
     def test_missing_topes(self):
         # positive on all three axes forces a positive sum, so the pattern
