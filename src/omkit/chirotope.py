@@ -7,8 +7,8 @@ modules read it through nonzero_supports, cocircuit_masks and pair_table/gather.
 
 check_chirotope verifies the alternating-map axioms directly: C1 (every
 element in a nonzero basis), C3 (basis exchange), and C4 (three-term sign
-consistency).  C2 never needs checking because evaluation routes every
-tuple through the canonical simplex form, which builds the alternation in.
+consistency).  C2 never needs checking because evaluation applies the
+oriented-simplex rule of _sorted_sign, which builds the alternation in.
 It is the only validation here: from_vectors, delete and contract assume
 a chirotope, refuse only what they cannot build, and build a minor of an
 unchecked map all the same.
@@ -34,7 +34,6 @@ import itertools
 import os
 from math import comb, gcd
 
-from .core import normalize
 from .errors import (
     ContractionError,
     DeletionError,
@@ -101,14 +100,14 @@ class SignMap:
         simplex = tuple(simplex)
         if len(simplex) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(simplex)}")
-        nb = normalize(simplex)
-        if nb is None:
+        canon = _sorted_sign(simplex)
+        if canon is None:
             return 0
         try:
-            i = _layout(self.n, self.rank)[1][nb.support]
+            i = _layout(self.n, self.rank)[1][canon[0]]
         except KeyError:
             raise ValueError(f"element out of range in {simplex}") from None
-        return nb.sign * self._signs[i]
+        return canon[1] * self._signs[i]
 
     def negate(self):
         return SignMap(self.rank, self.n, [-v for v in self._signs], self.labels)
@@ -138,6 +137,20 @@ class SignMap:
         return f"SignMap(rank={self.rank}, n={self.n}, nonzero={nz})"
 
 
+def _sorted_sign(entries):
+    """(ascending support, sign) of a signed tuple, or None when an
+    element repeats: the oriented-simplex rule negates the sign once per
+    barred entry and once per inversion of the tuple's elements."""
+    if 0 in entries:
+        raise ValueError("0 is not a signed element")
+    elems = [abs(x) for x in entries]
+    if len(set(elems)) < len(elems):
+        return None
+    flips = sum(x < 0 for x in entries) + sum(
+        a > b for i, a in enumerate(elems) for b in elems[i + 1:])
+    return tuple(sorted(elems)), -1 if flips & 1 else 1
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(n, r):
     """The ascending r-subsets of 1..n in lexicographic order, and the
@@ -145,8 +158,8 @@ def _layout(n, r):
     before building any; the cache holds every (n, r) with r <= 5 and
     n <= 9, all that one from_chirotope at the size guard can touch."""
     if comb(n, r) > MAX_SIGNS:
-        raise ValueError(f"C({n}, {r}) = {comb(n, r)} signs is past the "
-                         f"limit of {MAX_SIGNS}")
+        raise SizeGuardError(f"C({n}, {r}) = {comb(n, r)} signs is past the "
+                             f"limit of {MAX_SIGNS}")
     subsets = tuple(itertools.combinations(range(1, n + 1), r))
     return subsets, {s: i for i, s in enumerate(subsets)}
 
@@ -239,7 +252,7 @@ def gather(m, head, subsets):
     """Value of head + s for each ascending subset s, read straight from
     the stored values; head is a signed tuple disjoint from every s."""
     signs, position = m._signs, _layout(m.n, m.rank)[1]
-    lead, sign = normalize(head)
+    lead, sign = _sorted_sign(head)
     out = []
     for s in subsets:
         v = sign * signs[position[tuple(sorted(lead + s))]]

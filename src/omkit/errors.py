@@ -40,8 +40,9 @@ class ArrangementError(OmError):
 
 
 class SizeGuardError(OmError):
-    """Input past a size guard: the CLI's on every loaded input, or the
-    knob of enumerate_bodies or fm_realizable_topes (exponential work)."""
+    """Input past a size guard: the CLI's on every loaded input, the 10^6
+    signs a SignMap may hold, or the knob of enumerate_bodies or
+    fm_realizable_topes (exponential work)."""
 
 
 class Violation(namedtuple("Violation", "axiom witness message")):

@@ -119,7 +119,7 @@ def face_census(m: SignMap) -> FaceCensus:
 
 # ------------------------------------------------------ feasibility check
 
-def _normalize_row(row):
+def _primitive_row(row):
     g = gcd(*row)
     if g > 1:
         row = tuple(v // g for v in row)
@@ -129,7 +129,7 @@ def _normalize_row(row):
 def _strictly_feasible(rows) -> bool:
     """Is there x with row . x > 0 for every row?  Exact Fourier-Motzkin;
     rows are integer tuples."""
-    rows = {_normalize_row(r) for r in rows}
+    rows = {_primitive_row(r) for r in rows}
     width = len(next(iter(rows)))
     for _ in range(width - 1):
         pos, neg, rest = [], [], []
@@ -149,7 +149,7 @@ def _strictly_feasible(rows) -> bool:
                 )
                 if not any(comb):
                     return False
-                nxt.add(_normalize_row(comb))
+                nxt.add(_primitive_row(comb))
         if not nxt:
             return True  # no constraints left; anything works
         rows = nxt

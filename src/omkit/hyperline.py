@@ -31,7 +31,6 @@ from collections import namedtuple
 from functools import cached_property
 
 from .chirotope import SignMap, extendable_prefixes, gather, pair_table, uncovered
-from .core import signed_elements
 from .errors import ConstructionError, ValidationReport
 
 
@@ -306,7 +305,7 @@ def _check_rank2(x, report, path):
         report.add("structure", (path,), f"{at}a signed element appears in two atoms")
         ok = False
     elif len(pos) != 2 * len(x.ground):
-        missing = sorted(s for s in signed_elements(x.ground) if s not in pos)[:4]
+        missing = sorted(s for e in x.ground for s in (e, -e) if s not in pos)[:4]
         report.add("structure", (path,),
                    f"{at}atoms do not cover both signed copies "
                    f"of every element (missing {missing})")

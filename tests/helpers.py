@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from omkit import HLHigher, HLRank2, Hyperline, SignMap, normalize
+from omkit import HLHigher, HLRank2, Hyperline, SignMap
 
 
 def det_laplace(matrix):
@@ -31,22 +31,29 @@ def det_laplace(matrix):
 
 # ------------------------------------------------- literal axiom checking
 
+def canonical_form(t):
+    """(sorted support, sign) of a signed tuple, None when an element
+    repeats: the sign is negated once per barred entry and once per
+    inversion of the tuple's elements."""
+    elems = [abs(e) for e in t]
+    if len(set(elems)) < len(elems):
+        return None
+    flips = sum(e < 0 for e in t) + sum(
+        a > b for i, a in enumerate(elems) for b in elems[i + 1:])
+    return tuple(sorted(elems)), -1 if flips & 1 else 1
+
+
 def parity_evaluator(m):
     """m's value on a signed r-tuple, read off dict(m.items()): 0 when an
-    element repeats, else the sorted support's value, negated once per
-    barred entry and once per inversion of the tuple's elements.  The
-    literal scans ask for the same tuples many times, so it remembers."""
+    element repeats, else the sorted support's value times the sign of
+    canonical_form.  The literal scans ask for the same tuples many
+    times, so it remembers."""
     values = dict(m.items())
 
     @functools.cache
     def value(t):
-        elems = [abs(e) for e in t]
-        if len(set(elems)) < len(elems):
-            return 0
-        flips = sum(e < 0 for e in t) + sum(
-            a > b for i, a in enumerate(elems) for b in elems[i + 1:])
-        sign = values[tuple(sorted(elems))]
-        return -sign if flips & 1 else sign
+        canon = canonical_form(t)
+        return 0 if canon is None else canon[1] * values[canon[0]]
 
     return value
 
@@ -557,19 +564,14 @@ def passes_chirotope_route(v):
 
 def random_fullrank_rows(rng, n, r, bound=5):
     """Random integer configuration of n nonzero rows spanning rank r."""
-    from omkit import from_vectors
-
     while True:
         rows = []
         while len(rows) < n:
             row = tuple(rng.randint(-bound, bound) for _ in range(r))
             if any(row):
                 rows.append(row)
-        try:
-            from_vectors(rows)
-        except Exception:
-            continue
-        return rows
+        if _rank_fraction([[Fraction(v) for v in row] for row in rows]) == r:
+            return rows
 
 
 def rows_with_extra(rng, n, r, kind):
@@ -625,6 +627,40 @@ def valid_signmaps(rng, n, r, count):
         if signs not in out and check_chirotope(m := SignMap(r, n, list(signs))).ok:
             out[signs] = m
     return list(out.values())
+
+
+# ---------------------------------------------------------- known answers
+
+def _meet(p, q, r, s):
+    """The point where line pq meets line rs, in exact fractions."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p, q, r, s
+    d = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    u, v = x1 * y2 - y1 * x2, x3 * y4 - y3 * x4
+    return (Fraction(u * (x3 - x4) - (x1 - x2) * v, d),
+            Fraction(u * (y3 - y4) - (y1 - y2) * v, d))
+
+
+def pappus_rows():
+    """The Pappus configuration as rows (x, y, 1): a1, a2, a3 on y = 0, b1,
+    b2, b3 on y = 1, then X, Y and Z, the meets of a1b2.a2b1, a1b3.a3b1 and
+    a2b3.a3b2, which lie on one line by Pappus's theorem."""
+    a = [(0, 0), (1, 0), (3, 0)]
+    b = [(0, 1), (2, 1), (5, 1)]
+    meets = [_meet(a[i], b[j], a[j], b[i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return [(x, y, 1) for x, y in a + b + meets]
+
+
+def non_pappus(sign):
+    """The chirotope of pappus_rows, signs by det_laplace, with the triple
+    (7, 8, 9) of X, Y and Z set to sign: a rank 3 chirotope on 9 elements
+    that no vectors realize (Bjorner et al., Oriented Matroids, ch. 8)."""
+    rows = pappus_rows()
+    values = {}
+    for s in itertools.combinations(range(1, 10), 3):
+        d = det_laplace([rows[e - 1] for e in s])
+        values[s] = (d > 0) - (d < 0)
+    values[(7, 8, 9)] = sign
+    return SignMap(3, 9, values)
 
 
 # ---------------------------------------------------- quotient projection
@@ -715,13 +751,14 @@ def orbit_by_moves(entries):
     return seen
 
 
+def signed_rearrangements(entries):
+    """Every permutation of entries with every choice of entry signs."""
+    return {tuple(s * x for s, x in zip(signs, perm))
+            for perm in itertools.permutations(entries)
+            for signs in itertools.product((1, -1), repeat=len(entries))}
+
+
 def equivalence_class(entries):
     """All signed rearrangements with the same canonical form, brute force."""
-    target = normalize(entries)
-    out = set()
-    for perm in itertools.permutations(entries):
-        for signs in itertools.product((1, -1), repeat=len(entries)):
-            t = tuple(s * x for s, x in zip(signs, perm))
-            if normalize(t) == target:
-                out.add(t)
-    return out
+    target = canonical_form(entries)
+    return {t for t in signed_rearrangements(entries) if canonical_form(t) == target}

@@ -30,6 +30,7 @@ from omkit import (
     OrientationClass,
     RealizationError,
     SignMap,
+    SizeGuardError,
     VectorConfig,
     check_chirotope,
     classify_full,
@@ -94,6 +95,8 @@ class TestSignMap:
             m.evaluate((1, 2, 3))
         with pytest.raises(ValueError):
             m.evaluate((1, 4))
+        with pytest.raises(ValueError, match="^0 is not a signed element$"):
+            m.evaluate((1, 0))
 
     def test_negate(self):
         m = SignMap(2, 3, {(1, 2): 1, (1, 3): -1})
@@ -145,9 +148,9 @@ class TestStorage:
 class TestSizeLimits:
     def test_absurd_size_refused_before_allocation(self):
         # C(60, 30) is about 1.2e17: refused from the count alone
-        with pytest.raises(ValueError, match=r"C\(60, 30\)"):
+        with pytest.raises(SizeGuardError, match=r"C\(60, 30\)"):
             SignMap(30, 60)
-        with pytest.raises(ValueError, match="past the limit"):
+        with pytest.raises(SizeGuardError, match="past the limit"):
             from_vectors([(1, k, k * k) for k in range(200)])
 
     def test_layout_cache_is_bounded(self):

@@ -212,6 +212,18 @@ class TestSizeGuard:
         else:
             assert code == 0 and out
 
+    def test_sign_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        # past the guard, a SignMap of more than 10^6 signs is refused
+        # before allocation, as a size refusal: exit 1
+        from omkit import cli
+
+        path = tmp_path / "big.vec"
+        path.write_text("".join(f"1,{i},{i * i}\n" for i in range(200)))
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: C(200, 3) = 1313400 signs is past the limit of 1000000\n")
+
     @pytest.mark.parametrize("kind", ["chi", "vec", "hls"])
     def test_rank_past_five(self, kind, tmp_path, monkeypatch, capsys):
         from omkit import cli
@@ -604,6 +616,13 @@ class TestImports:
         _, code, modules = loaded_by(command, str(path))
         assert code == 0 and "omkit.cli" in modules
         assert not modules & unloaded
+        # exactly the omkit modules the command runs; omkit/__main__.py
+        # runs as __main__, so no omkit.__main__ is loaded
+        expected = {"omkit", "omkit.cli", "omkit.chirotope", "omkit.errors",
+                    "omkit.formats"}
+        expected |= {"omkit.hyperline"} if ext == "hls" else set()
+        expected |= {"omkit.faces"} if command == "faces" else set()
+        assert {m for m in modules if m.split(".")[0] == "omkit"} == expected
 
     def test_fraction_entry_loads_fractions(self, tmp_path):
         path = tmp_path / "frame4.vec"
@@ -614,14 +633,14 @@ class TestImports:
 
 
 # Every name `from omkit import *` bound while the package imported its
-# submodules eagerly, by the submodule defining it, less the two removed
-# since: minor_hls and NoDeletableElement.
+# submodules eagerly, by the submodule defining it, less those removed
+# since: minor_hls, NoDeletableElement, and the module core with its
+# CanonicalBasis, normalize, signed_elements, signed_sort_key and underlying.
 EXPORTS = {
     "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
                    "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
     "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
                  "contract delete det_sign enumerate_bodies find_deletable from_vectors",
-    "core": "CanonicalBasis normalize signed_elements signed_sort_key underlying",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
               "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",

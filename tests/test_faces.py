@@ -9,6 +9,8 @@ from helpers import (
     literal_census,
     literal_closure,
     literal_covectors,
+    non_pappus,
+    pappus_rows,
     random_fullrank_rows,
     relabel_signmap,
     reorient_signmap,
@@ -28,6 +30,8 @@ from omkit import (
     SizeGuardError,
     VectorConfig,
     canonical_arrangement,
+    check_chirotope,
+    check_hyperline,
     classify_full,
     cocircuits,
     contract,
@@ -36,12 +40,15 @@ from omkit import (
     enumerate_bodies,
     face_census,
     fm_realizable_topes,
+    from_chirotope,
     from_vectors,
     read_rank1,
     read_rank2,
     represent_rank1,
     represent_rank2,
     serialize_chi,
+    serialize_hls,
+    to_chirotope,
     topes,
 )
 
@@ -415,3 +422,45 @@ class TestCanonical:
             canonical_arrangement(-1, 1)
         with pytest.raises(ValueError):
             canonical_arrangement(2, 0)
+
+
+class TestNonPappus:
+    # a known answer from outside omkit (Bjorner et al., ch. 8): the
+    # Pappus configuration with its Pappus line X Y Z broken either way is
+    # a chirotope no vectors realize, so no realization in the suite
+    # produces it
+    def test_pappus_realization(self):
+        m = from_vectors(pappus_rows())
+        assert [s for s, v in m.items() if not v] == [
+            (1, 2, 3), (1, 5, 7), (1, 6, 8), (2, 4, 7), (2, 6, 9),
+            (3, 4, 8), (3, 5, 9), (4, 5, 6), (7, 8, 9)]
+        for sign in (1, -1):
+            broken = dict(m.items())
+            broken[(7, 8, 9)] = sign
+            assert non_pappus(sign) == SignMap(3, 9, broken)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_known_answers(self, sign):
+        m = non_pappus(sign)
+        x = from_chirotope(m)
+        assert check_chirotope(m).ok and check_hyperline(x).ok
+        assert to_chirotope(x) == m
+        assert tuple(face_census(m)) == (40, 96, 58)
+        assert len(topes(m)) == 58
+        assert len(covectors(m)) == 195
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cli_accepts_it(self, sign, tmp_path, capsys):
+        from omkit import cli
+
+        m = non_pappus(sign)
+        hls = serialize_hls(from_chirotope(m))
+        for kind, text in (("chi", serialize_chi(m)), ("hls", hls)):
+            path = tmp_path / f"np.{kind}"
+            path.write_text(text)
+            assert cli.main(["check", str(path)]) == 0
+            assert capsys.readouterr().out == "ok\n"
+            assert cli.main(["convert", str(path), "--to", "hls"]) == 0
+            assert capsys.readouterr().out == hls
+            assert cli.main(["faces", str(path)]) == 0
+            assert capsys.readouterr().out == "V=40 E=96 F=58 euler=2\n"
