@@ -14,8 +14,8 @@ import importlib
 
 # the names each submodule exports
 _EXPORTS = {
-    "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
-                   "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
+    "arrangement": "ArrangementR1 ArrangementR2 canonical_arrangement read_rank1 "
+                   "read_rank2 represent_rank1 represent_rank2",
     "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
                  "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "

@@ -7,7 +7,6 @@ No om command runs this code, so it lives apart from the cell layer.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .chirotope import SignMap
 from .errors import ArrangementError
@@ -23,21 +22,6 @@ def canonical_arrangement(d: int, sign: int) -> SignMap:
         raise ValueError("sign must be +1 or -1")
     r = d + 1
     return SignMap(r, r, {tuple(range(1, r + 1)): sign})
-
-
-class OrientationClass(Enum):
-    PLUS = 1
-    MINUS = -1
-
-
-def classify_full(m: SignMap) -> OrientationClass:
-    """Which of the two chirotopes on n = r elements this is."""
-    if m.n != m.rank:
-        raise ValueError(f"defined only for n = rank (got n={m.n}, rank={m.rank})")
-    v = m.evaluate(range(1, m.rank + 1))
-    if v == 0:
-        raise ValueError("not a chirotope: the only possible basis has value 0")
-    return OrientationClass.PLUS if v > 0 else OrientationClass.MINUS
 
 
 class ArrangementR1(namedtuple("ArrangementR1", "sides")):

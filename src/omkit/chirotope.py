@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from math import comb, gcd
+from math import gcd
 
 from .errors import (
     ContractionError,
@@ -45,7 +45,8 @@ from .errors import (
 MAX_CHECK_N = 9  # the size guard the CLI applies to every loaded input
 MAX_CHECK_RANK = 5
 MAX_ENUM_MAPS = 3**10  # sign maps one enumeration may scan
-MAX_SIGNS = 10**6  # a SignMap of more signs is refused before allocation
+MAX_SIGNS = 10**6  # more subsets than this are refused before any is listed
+MAX_COUNT = 2**64  # a larger subset count is named C(n, r), never computed
 
 
 class SignMap:
@@ -53,7 +54,8 @@ class SignMap:
 
     The signs are stored as one flat list in lexicographic subset order,
     the order of a .chi body; `values` is either that list (taken over,
-    not copied) or a {subset: sign} mapping, where absent subsets are 0.
+    not copied, and only its length checked until the first read) or a
+    {subset: sign} mapping, where absent subsets are 0.
     Storage always uses compacted ids 1..n; `labels` remembers the original
     ids so minors stay traceable in reports.  Instances are treated as
     immutable.  Equality compares rank, n, and values (labels are metadata).
@@ -68,8 +70,13 @@ class SignMap:
             raise ValueError("ground set needs at least one element")
         self.rank = int(rank)
         self.n = int(n)
-        subsets, position = _layout(self.n, self.rank)
-        if not isinstance(values, list):
+        if isinstance(values, list):
+            count = subset_count(self.n, self.rank)
+            if len(values) != count:
+                raise ValueError(f"expected {f'C({n}, {rank})' if count is None else count} "
+                                 f"signs, one per {rank}-subset of 1..{n}, got {len(values)}")
+        else:
+            subsets, position = _layout(self.n, self.rank)
             signs = [0] * len(subsets)
             for key, v in (values or {}).items():
                 key = tuple(int(e) for e in key)
@@ -77,9 +84,6 @@ class SignMap:
                     raise ValueError(f"not an ascending {rank}-subset of 1..{n}: {key}")
                 signs[position[key]] = v
             values = signs
-        if len(values) != len(subsets):
-            raise ValueError(f"expected {len(subsets)} signs, one per "
-                             f"{rank}-subset of 1..{n}, got {len(values)}")
         bad = next((v for v in values if v not in (-1, 0, 1)), None)
         if bad is not None:
             raise ValueError(f"sign value out of range: {bad}")
@@ -133,7 +137,7 @@ class SignMap:
         )
 
     def __repr__(self):
-        nz = len(self.nonzero_supports())
+        nz = sum(map(bool, self._signs))  # reads no subset, so never refused
         return f"SignMap(rank={self.rank}, n={self.n}, nonzero={nz})"
 
 
@@ -151,15 +155,30 @@ def _sorted_sign(entries):
     return tuple(sorted(elems)), -1 if flips & 1 else 1
 
 
+def subset_count(n, r):
+    """C(n, r), or None once it passes MAX_COUNT.  C(n, j) grows with j up
+    to min(r, n - r) and is at least 2^j there, so the running product
+    stops within about 64 steps whatever the size of n and r."""
+    if not 0 <= r <= n:
+        return 0
+    count = 1
+    for j in range(min(r, n - r)):
+        count = count * (n - j) // (j + 1)
+        if count > MAX_COUNT:
+            return None
+    return count
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(n, r):
     """The ascending r-subsets of 1..n in lexicographic order, and the
     position of each in that order.  Refuses more than MAX_SIGNS subsets
     before building any; the cache holds every (n, r) with r <= 5 and
     n <= 9, all that one from_chirotope at the size guard can touch."""
-    if comb(n, r) > MAX_SIGNS:
-        raise SizeGuardError(f"C({n}, {r}) = {comb(n, r)} signs is past the "
-                             f"limit of {MAX_SIGNS}")
+    count = subset_count(n, r)
+    if count is None or count > MAX_SIGNS:
+        raise SizeGuardError(f"C({n}, {r}){f' = {count}' if count else ''} signs is "
+                             f"past the limit of {MAX_SIGNS}")
     subsets = tuple(itertools.combinations(range(1, n + 1), r))
     return subsets, {s: i for i, s in enumerate(subsets)}
 
@@ -232,31 +251,27 @@ def _c3_violation(m):
 
 def pair_table(m, prefix):
     """g[a][b] = m.evaluate(prefix + (a, b)) for elements a, b of 1..n,
-    read straight from the stored values.  prefix is ascending; a signed
-    pair has value sign(a) * sign(b) * g[|a|][|b|]."""
-    n, signs, position = m.n, m._signs, _layout(m.n, m.rank)[1]
-    above = [sum(p > e for p in prefix) for e in range(n + 1)]
-    free = [e for e in range(1, n + 1) if e not in prefix]
-    g = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, a in enumerate(free):
-        for b in free[i + 1:]:
-            v = signs[position[tuple(sorted(prefix + (a, b)))]]
-            if (above[a] + above[b]) & 1:
-                v = -v
-            g[a][b] = v
-            g[b][a] = -v
+    read through gather.  prefix is ascending; a signed pair has value
+    sign(a) * sign(b) * g[|a|][|b|]."""
+    pairs = list(itertools.combinations([e for e in range(1, m.n + 1) if e not in prefix], 2))
+    g = [[0] * (m.n + 1) for _ in range(m.n + 1)]
+    for (a, b), v in zip(pairs, gather(m, prefix, pairs)):
+        g[a][b] = v
+        g[b][a] = -v
     return g
 
 
 def gather(m, head, subsets):
     """Value of head + s for each ascending subset s, read straight from
-    the stored values; head is a signed tuple disjoint from every s."""
+    the stored values; head is a signed tuple disjoint from every s.  The
+    sign flips once per pair of a head element above an element of s."""
     signs, position = m._signs, _layout(m.n, m.rank)[1]
     lead, sign = _sorted_sign(head)
+    above = [sum(h > e for h in lead) for e in range(m.n + 1)]
     out = []
     for s in subsets:
         v = sign * signs[position[tuple(sorted(lead + s))]]
-        out.append(-v if sum(h > e for h in lead for e in s) & 1 else v)
+        out.append(-v if sum(map(above.__getitem__, s)) & 1 else v)
     return out
 
 
@@ -453,11 +468,11 @@ def contract(m: SignMap, fixed) -> SignMap:
 # -------------------------------------------------------------- enumerate
 
 def _enum_chunk(task):
-    n, r, uniform, lo, hi, want_bodies = task
+    n, r, width, uniform, lo, hi, want_bodies = task
     values = (-1, 1) if uniform else (-1, 0, 1)
     count = 0
     bodies = []
-    for signs in itertools.islice(itertools.product(values, repeat=comb(n, r)), lo, hi):
+    for signs in itertools.islice(itertools.product(values, repeat=width), lo, hi):
         if check_chirotope(SignMap(r, n, list(signs))).ok:
             count += 1
             if want_bodies:
@@ -475,14 +490,15 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
         raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    width = comb(n, r)
+    # lifted, the subsets are listed up front: refused past MAX_SIGNS
+    width = len(_layout(n, r)[0]) if allow_large else subset_count(n, r)
     base = 2 if uniform else 3
     # 2**width passes the limit once width reaches the limit's bit length,
     # so a huge width is refused before its power is built
-    if not allow_large and (width >= MAX_ENUM_MAPS.bit_length()
+    if not allow_large and (width is None or width >= MAX_ENUM_MAPS.bit_length()
                             or base**width > MAX_ENUM_MAPS):
         raise SizeGuardError(
-            f"enumeration over {base}^{width} sign maps is guarded "
+            f"enumeration over {base}^{width or f'C({n}, {r})'} sign maps is guarded "
             f"(limit {MAX_ENUM_MAPS}); lift explicitly to proceed"
         )
     total = base**width
@@ -491,7 +507,7 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
     for j in range(jobs):
         lo = total * j // jobs
         hi = total * (j + 1) // jobs
-        tasks.append((n, r, uniform, lo, hi, want_bodies))
+        tasks.append((n, r, width, uniform, lo, hi, want_bodies))
     if jobs == 1:
         results = [_enum_chunk(tasks[0])]
     else:

@@ -41,7 +41,7 @@ class ArrangementError(OmError):
 
 class SizeGuardError(OmError):
     """Input past a size guard: the CLI's on every loaded input, the 10^6
-    signs a SignMap may hold, or the knob of enumerate_bodies or
+    signs a SignMap may list, or the guard of enumerate_bodies or of
     fm_realizable_topes (exponential work)."""
 
 

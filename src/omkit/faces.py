@@ -158,15 +158,15 @@ def _strictly_feasible(rows) -> bool:
     return not (lo and hi) and not any(r == (0,) for r in rows)
 
 
-def fm_realizable_topes(vectors: VectorConfig, allow_large=False) -> set:
+def fm_realizable_topes(vectors: VectorConfig) -> set:
     """Topes of a vector configuration straight from linear programming:
     a sign pattern t is a tope iff some direction x has sign(v_i . x) = t_i
     for all i.  Independent of the chirotope pipeline, so the two can be
-    compared."""
-    if (vectors.r > 4 or vectors.n > 8) and not allow_large:
+    compared.  Refused past n = 8 or rank 4."""
+    if vectors.r > 4 or vectors.n > 8:
         raise SizeGuardError(
-            f"feasibility scan over {2 ** vectors.n} sign patterns; "
-            "pass allow_large to force"
+            f"feasibility scan over {2 ** vectors.n} sign patterns is guarded at "
+            f"n <= 8, rank <= 4 (got n={vectors.n}, rank={vectors.r})"
         )
     rows = vectors.cleared_rows()
     out = set()

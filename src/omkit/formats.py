@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .chirotope import SignMap, VectorConfig
+from .chirotope import SignMap, VectorConfig, subset_count
 from .errors import ParseError
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
@@ -54,12 +54,11 @@ def parse_chi(text: str) -> SignMap:
                     f"unexpected character {ch!r}", line=line_no, column=col
                 )
             body.append(_CHAR_SIGN[ch])
-    # The body is bounded by the input's length, the header is not: compare
-    # before building one support per subset.
-    expected = math.comb(n, rank)
+    # the header, unlike the body, is not bounded by the input's length
+    expected = subset_count(n, rank)
     if len(body) != expected:
         raise ParseError(
-            f"body has {len(body)} signs, expected {expected} "
+            f"body has {len(body)} signs, expected {expected or f'C({n}, {rank})'} "
             f"(one per {rank}-subset of 1..{n})"
         )
     return SignMap(rank, n, body)

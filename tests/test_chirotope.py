@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
     literal_c3_witness,
     literal_c4,
     literal_c4_witness,
+    literal_key,
     literal_restriction,
     parity_evaluator,
     quotient_coords,
@@ -27,21 +30,22 @@ from helpers import (
 from omkit import (
     ContractionError,
     DeletionError,
-    OrientationClass,
     RealizationError,
     SignMap,
     SizeGuardError,
     VectorConfig,
     check_chirotope,
-    classify_full,
+    check_hyperline,
     contract,
     delete,
     det_sign,
     enumerate_bodies,
     find_deletable,
+    from_chirotope,
     from_vectors,
     parse_chi,
     serialize_chi,
+    to_chirotope,
 )
 from omkit import chirotope
 
@@ -152,6 +156,23 @@ class TestSizeLimits:
             SignMap(30, 60)
         with pytest.raises(SizeGuardError, match="past the limit"):
             from_vectors([(1, k, k * k) for k in range(200)])
+
+    def test_absurd_count_refused_at_once(self):
+        # past 2^64 the count is named, never computed: C(10^6, 5 * 10^5)
+        # alone takes seconds and has more digits than str() may print
+        res = subprocess.run([sys.executable, "-c", "import omkit; omkit.SignMap(500000, 10**6)"],
+                             capture_output=True, text=True, timeout=10)
+        assert res.returncode == 1
+        assert res.stderr.endswith("omkit.errors.SizeGuardError: C(1000000, 500000) signs "
+                                   "is past the limit of 1000000\n")
+
+    def test_list_past_the_bound_is_refused_at_the_first_read(self):
+        # a list is taken over with its length checked against C(200, 3)
+        # alone; the subsets are listed, and refused, when a sign is read
+        m = SignMap(3, 200, [1] * 1313400)
+        assert repr(m) == "SignMap(rank=3, n=200, nonzero=1313400)"
+        with pytest.raises(SizeGuardError, match=r"^C\(200, 3\) = 1313400 signs is past"):
+            check_chirotope(m)
 
     def test_layout_cache_is_bounded(self):
         cache = chirotope._layout.cache_info()
@@ -317,6 +338,52 @@ class TestCheck:
             perm = rng.choice(perms)
             assert check_chirotope(relabel_signmap(m, perm)).ok
         assert seen >= 40  # the sample actually exercised the property
+
+
+class TestRelabelReorient:
+    """check_chirotope's verdict, and the sequence from_chirotope builds,
+    follow relabeling and reorientation, on valid and invalid maps at the
+    size guard: n = 9, rank 3..5."""
+
+    @staticmethod
+    def inputs(rng, r):
+        """A uniform and a dependent-row map; two one-sign flips and two
+        one-basis zeroings of each (most break C4 only, some stay valid);
+        the uniform map with every basis on element 9 zeroed (C1); and a
+        random map (C3 and C4)."""
+        realized = [from_vectors(uniform_rows(rng, 9, r)),
+                    from_vectors(rows_with_extra(rng, 9, r, "dependent"))]
+        out = list(realized)
+        for m in realized:
+            signs = [v for _, v in m.items()]
+            nonzero = [i for i, v in enumerate(signs) if v]
+            a, b, c, d = rng.sample(nonzero, 4)
+            for i, v in ((a, -signs[a]), (b, -signs[b]), (c, 0), (d, 0)):
+                out.append(SignMap(r, 9, signs[:i] + [v] + signs[i + 1:]))
+        out.append(SignMap(r, 9, {s: 0 if 9 in s else v for s, v in realized[0].items()}))
+        out.append(random_signmap(rng, 9, r))
+        return out
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_verdicts_and_sequences_follow_the_action(self, r):
+        rng = random.Random(r)
+        broken = set()
+        for m in self.inputs(rng, r):
+            axioms = {v.axiom for v in check_chirotope(m).violations}
+            broken |= axioms
+            perm = dict(zip(range(1, 10), rng.sample(range(1, 10), 9)))
+            images = [relabel_signmap(m, perm),
+                      *(reorient_signmap(m, e) for e in rng.sample(range(1, 10), 2))]
+            for image in images:
+                assert {v.axiom for v in check_chirotope(image).violations} == axioms
+            if axioms:
+                continue
+            assert literal_key(from_chirotope(images[0])) == literal_key(
+                from_chirotope(m), rename=perm)
+            for image in images:
+                x = from_chirotope(image)
+                assert check_hyperline(x).ok and to_chirotope(x) == image
+        assert broken == {"C1", "C3", "C4"}  # the inputs reach every axiom
 
 
 class TestRealization:
@@ -542,18 +609,6 @@ class TestMinors:
             m = from_vectors(rows)
             c = contract(m, [1])
             assert check_chirotope(c).ok
-
-
-class TestClassify:
-    def test_classify(self):
-        assert classify_full(SignMap(3, 3, {(1, 2, 3): 1})) is OrientationClass.PLUS
-        assert classify_full(SignMap(3, 3, {(1, 2, 3): -1})) is OrientationClass.MINUS
-
-    def test_classify_errors(self):
-        with pytest.raises(ValueError):
-            classify_full(SignMap(2, 3))
-        with pytest.raises(ValueError):
-            classify_full(SignMap(2, 2))
 
 
 class TestEnumerate:

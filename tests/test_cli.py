@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -24,7 +25,7 @@ TRIANGLE_CHI = serialize_chi(from_vectors([(1, 0), (0, 1), (-1, 1)]))
 BAD_CHI = "2 4\n++++-+\n"  # fails the three-term condition
 
 
-def run_om(*args, stdin=None, env_extra=None):
+def run_om(*args, stdin=None, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -34,6 +35,7 @@ def run_om(*args, stdin=None, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -223,6 +225,45 @@ class TestSizeGuard:
         assert cli.main(["check", str(path)]) == 1
         assert capsys.readouterr() == (
             "", "error: C(200, 3) = 1313400 signs is past the limit of 1000000\n")
+
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_chi_refused_before_its_subsets_are_listed(self, n, tmp_path, monkeypatch,
+                                                       capsys):
+        # a SignMap built from a list checks its length against the count
+        # alone, so a .chi past the guard, even past the 10^6-sign bound,
+        # gets the guard message without its subsets ever being listed
+        from omkit import chirotope, cli
+
+        layout, listed = chirotope._layout, []
+        monkeypatch.setattr(chirotope, "_layout",
+                            lambda n, r: listed.append((n, r)) or layout(n, r))
+        path = tmp_path / "big.chi"
+        path.write_text(f"3 {n}\n{'+' * comb(n, 3)}\n")
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(["check", str(path)]) == 1
+        assert (n, 3) not in listed
+        assert capsys.readouterr() == (
+            "", "error: axiom check guarded at n <= 9, rank <= 5 "
+                f"(got n={n}, rank=3); lift explicitly to proceed\n")
+
+    @pytest.mark.parametrize("args, stdin, code, err", [
+        (["check", "-"], "500000 1000000\n+\n", 2,
+         "body has 1 signs, expected C(1000000, 500000) (one per 500000-subset of 1..1000000)"),
+        (["check", "-"], "5000000 10000000\n+\n", 2,
+         "body has 1 signs, expected C(10000000, 5000000) "
+         "(one per 5000000-subset of 1..10000000)"),
+        (["enumerate", "1000000", "500000"], None, 1,
+         "enumeration over 3^C(1000000, 500000) sign maps is guarded (limit 59049); "
+         "lift explicitly to proceed"),
+        (["enumerate", "10000000", "5000000"], None, 1,
+         "enumeration over 3^C(10000000, 5000000) sign maps is guarded (limit 59049); "
+         "lift explicitly to proceed"),
+    ], ids=["chi", "chi-larger", "enumerate", "enumerate-larger"])
+    def test_absurd_sizes_refused_at_once(self, args, stdin, code, err):
+        # a count past 2^64 is named, not computed: computing C(10^6, 5 * 10^5)
+        # takes seconds and gives more digits than str() may print
+        res = run_om(*args, stdin=stdin, env_extra={"OM_SIZE_OVERRIDE": "0"}, timeout=10)
+        assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {err}\n")
 
     @pytest.mark.parametrize("kind", ["chi", "vec", "hls"])
     def test_rank_past_five(self, kind, tmp_path, monkeypatch, capsys):
@@ -553,6 +594,15 @@ class TestEnumerate:
         assert enumerate_bodies(6, 2, uniform=True) == (0, 2**15, [])
         assert enumerate_bodies(6, 2, allow_large=True) == (0, 3**15, [])
 
+    def test_lifted_guard_keeps_the_sign_bound(self):
+        # lifted, the scan's maps must still fit the 10^6-sign bound, and a
+        # count past 2^64 is refused before it is computed
+        from omkit import SizeGuardError
+
+        with pytest.raises(SizeGuardError, match=r"^C\(1000000, 500000\) signs is past the "
+                                                 r"limit of 1000000$"):
+            enumerate_bodies(10**6, 5 * 10**5, allow_large=True)
+
 
 def loaded_by(*argv):
     """stdout, exit code and the set of loaded modules of `python -m omkit
@@ -634,11 +684,12 @@ class TestImports:
 
 # Every name `from omkit import *` bound while the package imported its
 # submodules eagerly, by the submodule defining it, less those removed
-# since: minor_hls, NoDeletableElement, and the module core with its
+# since: minor_hls, NoDeletableElement, the orientation-class classifier and
+# its Enum (SignMap.evaluate gives that sign), and the module core with its
 # CanonicalBasis, normalize, signed_elements, signed_sort_key and underlying.
 EXPORTS = {
-    "arrangement": "ArrangementR1 ArrangementR2 OrientationClass canonical_arrangement "
-                   "classify_full read_rank1 read_rank2 represent_rank1 represent_rank2",
+    "arrangement": "ArrangementR1 ArrangementR2 canonical_arrangement read_rank1 "
+                   "read_rank2 represent_rank1 represent_rank2",
     "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
                  "contract delete det_sign enumerate_bodies find_deletable from_vectors",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "

@@ -25,14 +25,12 @@ from omkit import (
     ArrangementR2,
     HLRank1,
     HLRank2,
-    OrientationClass,
     SignMap,
     SizeGuardError,
     VectorConfig,
     canonical_arrangement,
     check_chirotope,
     check_hyperline,
-    classify_full,
     cocircuits,
     contract,
     covectors,
@@ -303,9 +301,10 @@ class TestFeasibility:
 
     def test_size_guard(self):
         rng = random.Random(2)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"^feasibility scan over 512 sign patterns "
+                           r"is guarded at n <= 8, rank <= 4 \(got n=9, rank=3\)$"):
             fm_realizable_topes(VectorConfig(random_fullrank_rows(rng, 9, 3)))
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"\(got n=6, rank=5\)$"):
             fm_realizable_topes(VectorConfig(random_fullrank_rows(rng, 6, 5)))
 
 
@@ -408,8 +407,9 @@ class TestCanonical:
         for d in (0, 1, 2, 3):
             plus = canonical_arrangement(d, 1)
             minus = canonical_arrangement(d, -1)
-            assert classify_full(plus) is OrientationClass.PLUS
-            assert classify_full(minus) is OrientationClass.MINUS
+            # the orientation class of an n = r map is its one basis's sign
+            assert plus.evaluate(range(1, d + 2)) == 1
+            assert minus.evaluate(range(1, d + 2)) == -1
             assert plus.rank == d + 1 and plus.n == d + 1
 
     def test_census(self):
