@@ -22,7 +22,7 @@ _EXPORTS = {
               "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
-               "serialize_hls serialize_vec",
+               "serialize_hls",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
                  "from_chirotope to_chirotope",
 }

@@ -56,9 +56,11 @@ class SignMap:
     the order of a .chi body; `values` is either that list (taken over,
     not copied, and only its length checked until the first read) or a
     {subset: sign} mapping, where absent subsets are 0.
-    Storage always uses compacted ids 1..n; `labels` remembers the original
-    ids so minors stay traceable in reports.  Instances are treated as
-    immutable.  Equality compares rank, n, and values (labels are metadata).
+    Storage always uses compacted ids 1..n; `labels` names element i as
+    labels[i - 1], and minors take labels and keep the ones they keep.  The
+    readers of stored signs (evaluate, items, nonzero_supports, pair_table
+    and gather) work in ids.  Instances are treated as immutable.  Equality
+    compares rank, n, and values (labels are metadata).
     """
 
     __slots__ = ("rank", "n", "_signs", "labels")
@@ -89,18 +91,19 @@ class SignMap:
             raise ValueError(f"sign value out of range: {bad}")
         self._signs = values
         self.labels = tuple(labels) if labels is not None else tuple(range(1, n + 1))
-        if len(self.labels) != n:
-            raise ValueError("labels must name every element")
+        if len(set(self.labels)) != n or len(self.labels) != n:
+            raise ValueError("labels must name every element once")
 
     def nonzero_supports(self):
+        """Id supports of the nonzero signs, in lexicographic order."""
         return [s for s, v in zip(_layout(self.n, self.rank)[0], self._signs) if v]
 
     def items(self):
-        """(support, sign) pairs in lexicographic support order."""
+        """(id support, sign) pairs in lexicographic support order."""
         return list(zip(_layout(self.n, self.rank)[0], self._signs))
 
     def evaluate(self, simplex):
-        """Sign of an arbitrary signed r-tuple; degenerate tuples give 0."""
+        """Sign of a signed r-tuple of ids; degenerate tuples give 0."""
         simplex = tuple(simplex)
         if len(simplex) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(simplex)}")
@@ -120,12 +123,17 @@ class SignMap:
         return self.labels[e - 1]
 
     def ids(self, labels):
-        """Internal ids of a sequence of labels, in the order given."""
+        """Internal ids of distinct labels, in the order given: the one map
+        from the names a caller uses to storage ids.  Refuses an unknown
+        label, then a repeated one."""
         index = {lab: i for i, lab in enumerate(self.labels, 1)}
         missing = [e for e in labels if e not in index]
         if missing:
             raise ValueError(f"elements not in the ground set: {missing}")
-        return [index[e] for e in labels]
+        ids = [index[e] for e in labels]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"repeated elements in {tuple(map(self.label_of, sorted(ids)))}")
+        return ids
 
     def __eq__(self, other):
         if not isinstance(other, SignMap):
@@ -250,7 +258,7 @@ def _c3_violation(m):
 
 
 def pair_table(m, prefix):
-    """g[a][b] = m.evaluate(prefix + (a, b)) for elements a, b of 1..n,
+    """g[a][b] = m.evaluate(prefix + (a, b)) for ids a, b of 1..n,
     read through gather.  prefix is ascending; a signed pair has value
     sign(a) * sign(b) * g[|a|][|b|]."""
     pairs = list(itertools.combinations([e for e in range(1, m.n + 1) if e not in prefix], 2))
@@ -262,8 +270,8 @@ def pair_table(m, prefix):
 
 
 def gather(m, head, subsets):
-    """Value of head + s for each ascending subset s, read straight from
-    the stored values; head is a signed tuple disjoint from every s.  The
+    """Value of head + s for each ascending id subset s, read straight from
+    the stored values; head is a signed id tuple disjoint from every s.  The
     sign flips once per pair of a head element above an element of s."""
     signs, position = m._signs, _layout(m.n, m.rank)[1]
     lead, sign = _sorted_sign(head)
@@ -409,22 +417,11 @@ def from_vectors(vectors) -> SignMap:
 
 # ------------------------------------------------------------------ minors
 
-def _element_ids(m, elems):
-    """elems as an ascending tuple of ids, each in 1..n and none repeated."""
-    elems = tuple(sorted(int(e) for e in elems))
-    bad = [e for e in elems if not 1 <= e <= m.n]
-    if bad:
-        raise ValueError(f"elements not in the ground set: {bad}")
-    if len(set(elems)) != len(elems):
-        raise ValueError(f"repeated elements in {tuple(map(m.label_of, elems))}")
-    return elems
-
-
 def delete(m: SignMap, drop) -> SignMap:
-    """Restrict to the elements outside `drop`.  Refuses a set that no
-    nonzero basis avoids, as the restriction would drop the rank; every
-    other deletion of a chirotope is one (Bjorner et al., ch. 3)."""
-    drop = _element_ids(m, drop)
+    """Restrict to the elements outside the labels `drop`.  Refuses a set
+    that no nonzero basis avoids, as the restriction would drop the rank;
+    every other deletion of a chirotope is one (Bjorner et al., ch. 3)."""
+    drop = sorted(m.ids(drop))
     keep = [e for e in range(1, m.n + 1) if e not in drop]
     signs = gather(m, (), itertools.combinations(keep, m.rank))
     if not any(signs):
@@ -434,20 +431,20 @@ def delete(m: SignMap, drop) -> SignMap:
 
 
 def find_deletable(m: SignMap) -> tuple:
-    """(e, delete(m, {e})) for the smallest element e that some nonzero
-    basis avoids; refuses with DeletionError when there is none."""
+    """(label, delete(m, [label])) for the first element that some
+    nonzero basis avoids; refuses with DeletionError when there is none."""
     nz = m.nonzero_supports()
     e = next((e for e in range(1, m.n + 1) if any(e not in s for s in nz)), None)
     if e is None:
         raise DeletionError("no nonzero basis avoids any single element")
-    return e, delete(m, {e})
+    return m.label_of(e), delete(m, [m.label_of(e)])
 
 
 def contract(m: SignMap, fixed) -> SignMap:
-    """Contract an independent tuple: keep the elements that complete it
-    to a nonzero basis and prepend it when reading values.  Refuses a
-    tuple that no nonzero basis contains."""
-    fixed = _element_ids(m, fixed)
+    """Contract an independent tuple of labels: keep the elements that
+    complete it to a nonzero basis and prepend it, in id order, when
+    reading values.  Refuses a tuple that no nonzero basis contains."""
+    fixed = sorted(m.ids(fixed))
     if len(fixed) >= m.rank:
         raise ContractionError(
             f"contracting {len(fixed)} elements from rank {m.rank} leaves nothing"

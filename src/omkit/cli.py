@@ -150,14 +150,13 @@ def _cmd_minor(args):
         return 1
 
     if args.delete == "auto":
-        e, sub = find_deletable(m)
-        print(f"deleting element {m.label_of(e)}", file=sys.stderr)
-        m = sub
+        e, m = find_deletable(m)
+        print(f"deleting element {e}", file=sys.stderr)
     elif dels is not None:
-        m = delete(m, m.ids(dels))
+        m = delete(m, dels)
 
     if cons is not None:
-        m = contract(m, m.ids(cons))
+        m = contract(m, cons)
 
     # the minor of a chirotope is one, so it goes unchecked like a .vec
     to = "hls" if kind == "hls" else "chi"

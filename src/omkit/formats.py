@@ -216,17 +216,6 @@ def parse_vec(text: str) -> VectorConfig:
     return VectorConfig(rows)
 
 
-def serialize_vec(vectors: VectorConfig) -> str:
-    lines = []
-    for row in vectors.rows:
-        cells = [
-            str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in row
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------- svg
 
 def render_rank2_svg(x: HLRank2) -> str:

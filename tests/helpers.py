@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from omkit import HLHigher, HLRank2, Hyperline, SignMap
+from omkit import HLHigher, HLRank1, HLRank2, Hyperline, SignMap
 
 
 def det_laplace(matrix):
@@ -460,6 +460,39 @@ def reorient_signmap(m, e):
     """SignMap with element e reoriented: every basis containing e
     changes sign."""
     return SignMap(m.rank, m.n, {s: -v if e in s else v for s, v in m.items()})
+
+
+def rename_sequence(x, name):
+    """The sequence x with each signed element s read as name(s), rebuilt
+    through the constructors from .chosen, .atoms and .hyperlines: a
+    relabeling when name renames elements, a reorientation of e when it
+    bars e and its bar alone."""
+    if x.rank == 1:
+        return HLRank1({name(s) for s in x.chosen})
+    if x.rank == 2:
+        return HLRank2([{name(s) for s in a} for a in x.atoms])
+    return HLHigher(x.rank, [Hyperline(rename_sequence(h.y, name), rename_sequence(h.z, name))
+                             for h in x.hyperlines])
+
+
+# ----------------------------------------------------------------- duality
+
+def dual_signmap(m):
+    """The dual of a rank r map on n > r elements, on the same labels:
+    chi*(E - S) = chi(S) times the sign of the permutation (S, E - S), both
+    parts ascending (Bjorner et al., Oriented Matroids, ch. 3).  Read off
+    m.items() alone."""
+    values = {}
+    for s, v in m.items():
+        rest = tuple(e for e in range(1, m.n + 1) if e not in s)
+        values[rest] = -v if sum(a > b for a in s for b in rest) & 1 else v
+    return SignMap(m.n - m.rank, m.n, values, m.labels)
+
+
+def coloops(m):
+    """Ids of the elements in every nonzero basis, ascending."""
+    nz = [s for s, v in m.items() if v]
+    return [e for e in range(1, m.n + 1) if all(e in s for s in nz)]
 
 
 # ---------------------------------------------------- neighbourhood moves

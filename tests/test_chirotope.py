@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    coloops,
     det_laplace,
+    dual_signmap,
     literal_axiom_check,
     literal_c1,
     literal_c3,
@@ -141,6 +144,21 @@ class TestStorage:
         m = parse_chi(f"3 5\n{body}\n")
         assert [s for s, _ in m.items()] == list(itertools.combinations(range(1, 6), 3))
         assert "".join("-0+"[v + 1] for _, v in m.items()) == body
+
+    def test_ids_refuse_unknown_then_repeated_labels(self):
+        # the repeat message lists every given label, in id order
+        m = SignMap(2, 3, {(1, 2): 1}, labels=(4, 7, 2))
+        with pytest.raises(ValueError, match=r"^repeated elements in \(4, 2, 2\)$"):
+            m.ids([2, 4, 2])
+        with pytest.raises(ValueError, match=r"^elements not in the ground set: \[9\]$"):
+            m.ids([2, 2, 9])
+        with pytest.raises(ValueError, match="not in the ground set"):
+            m.ids(["4"])
+
+    def test_labels_are_distinct(self):
+        # SignMap.ids names each element by its label, so no two may share one
+        with pytest.raises(ValueError, match="^labels must name every element once$"):
+            SignMap(2, 3, [1, 1, 1], labels=(5, 5, 6))
 
     def test_ids_keep_order(self):
         m = SignMap(2, 3, {(1, 2): 1}, labels=(4, 7, 2))
@@ -609,6 +627,72 @@ class TestMinors:
             m = from_vectors(rows)
             c = contract(m, [1])
             assert check_chirotope(c).ok
+
+
+class TestDuality:
+    """helpers.dual_signmap, read off the stored signs alone, as an oracle
+    for the check and the minors.  C1 does not dualise, since a loop
+    dualises to a coloop, so validity is compared as "ok and no coloop".
+    That comparison cannot see the permutation sign of the dual: dropping
+    it only reorients elements, and a reorientation keeps the verdict.
+    The minors can, so a dual without that sign must fail them."""
+
+    @pytest.mark.parametrize("n, r, values", [(4, 2, (-1, 0, 1)), (5, 3, (-1, 1)),
+                                              (5, 2, (-1, 1))])
+    def test_validity_agrees_with_the_dual(self, n, r, values):
+        # every map at (4, 2), every uniform one at (5, 3) and (5, 2)
+        def ok(m):
+            return check_chirotope(m).ok and not coloops(m)
+
+        passed = 0
+        for signs in itertools.product(values, repeat=math.comb(n, r)):
+            m = SignMap(r, n, list(signs))
+            assert ok(m) == ok(dual_signmap(m)), m
+            passed += ok(m)
+        assert 0 < passed < len(values) ** math.comb(n, r)
+
+    @staticmethod
+    def contractions():
+        """(m, e, contract(m, [e])) for each e whose contraction keeps the
+        n - 1 other elements, on seeded uniform, dependent-row and
+        parallel-row maps with 4 <= n <= 8 and 2 <= r <= 5, n > r."""
+        rng = random.Random(20261020)
+        out = []
+        for r in range(2, 6):
+            for n in range(max(4, r + 1), 9):
+                for _ in range(3):
+                    for rows in (uniform_rows(rng, n, r),
+                                 *(rows_with_extra(rng, n, r, kind)
+                                   for kind in ("dependent", "parallel"))):
+                        m = from_vectors(rows)
+                        out += [(m, e, c) for e in range(1, n + 1)
+                                if (c := contract(m, [e])).n == n - 1]
+        return out
+
+    @staticmethod
+    def mismatches(contractions, dual):
+        """The contractions whose dual is not delete(dual(m), [e]) up to a
+        global sign."""
+        bad = []
+        for m, e, c in contractions:
+            got, want = dual(c), delete(dual(m), [e])
+            assert got.labels == want.labels
+            if got not in (want, want.negate()):
+                bad.append((m, e))
+        return bad
+
+    def test_contraction_dualises_to_deletion(self):
+        contractions = self.contractions()
+        assert len(contractions) > 800
+        assert self.mismatches(contractions, dual_signmap) == []
+
+    def test_a_dual_without_the_permutation_sign_fails_the_minors(self):
+        def unsigned(m):
+            return SignMap(m.n - m.rank, m.n, {
+                tuple(e for e in range(1, m.n + 1) if e not in s): v for s, v in m.items()},
+                m.labels)
+
+        assert len(self.mismatches(self.contractions(), unsigned)) > 300
 
 
 class TestEnumerate:

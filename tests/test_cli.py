@@ -361,6 +361,19 @@ class TestMinor:
         assert res.returncode == 0
         assert res.stdout.startswith("2 2\n")
 
+    def test_minors_compose_by_label(self, tmp_path, capsys):
+        # after deleting 2, label 4 holds id 3: the library and om minor
+        # both contract the element labelled 4
+        from omkit import cli, contract, delete
+
+        m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 1)])
+        p = tmp_path / "six.chi"
+        p.write_text(serialize_chi(m))
+        sub = contract(delete(m, [2]), [4])
+        assert sub.labels == (1, 3, 5, 6)
+        assert cli.main(["minor", str(p), "--delete", "2", "--contract", "4"]) == 0
+        assert capsys.readouterr() == (serialize_chi(sub), "ids: 1=1 2=3 3=5 4=6\n")
+
     def test_invalid_deletion(self, tmp_path):
         rows = [(1, 0), (0, 1), (0, 2), (0, 3)]
         p = tmp_path / "cfg.chi"
@@ -685,8 +698,9 @@ class TestImports:
 # Every name `from omkit import *` bound while the package imported its
 # submodules eagerly, by the submodule defining it, less those removed
 # since: minor_hls, NoDeletableElement, the orientation-class classifier and
-# its Enum (SignMap.evaluate gives that sign), and the module core with its
-# CanonicalBasis, normalize, signed_elements, signed_sort_key and underlying.
+# its Enum (SignMap.evaluate gives that sign), the module core with its
+# CanonicalBasis, normalize, signed_elements, signed_sort_key and underlying,
+# and serialize_vec (.vec is an input format only).
 EXPORTS = {
     "arrangement": "ArrangementR1 ArrangementR2 canonical_arrangement read_rank1 "
                    "read_rank2 represent_rank1 represent_rank2",
@@ -696,7 +710,7 @@ EXPORTS = {
               "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
-               "serialize_hls serialize_vec",
+               "serialize_hls",
     "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
                  "from_chirotope to_chirotope",
 }
@@ -869,6 +883,16 @@ class TestUsage:
             assert code != 2 or out == "", argv
             codes.append(code)
         assert {0, 1, 2} <= set(codes)
+
+    def test_mutated_files_slice(self, monkeypatch):
+        """A 300-input slice of tests/fuzz_sweep.py, which CI runs at 20,000:
+        byte- and tree-mutated files under every file-taking command."""
+        import fuzz_sweep
+
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        codes, found = fuzz_sweep.sweep(seed=1, count=300)
+        assert found == []
+        assert codes[0] and codes[1] and codes[2], codes
 
 
 # A 9-element rank 5 chirotope (points on the moment curve): `om faces`
