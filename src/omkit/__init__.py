@@ -16,8 +16,8 @@ import importlib
 _EXPORTS = {
     "arrangement": "ArrangementR1 ArrangementR2 canonical_arrangement read_rank1 "
                    "read_rank2 represent_rank1 represent_rank2",
-    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
-                 "contract delete det_sign enumerate_bodies find_deletable from_vectors",
+    "chirotope": "SignMap VectorConfig check_chirotope contract delete det_sign "
+                 "enumerate_bodies find_deletable from_vectors",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
               "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",

@@ -42,9 +42,6 @@ from .errors import (
     ValidationReport,
 )
 
-MAX_CHECK_N = 9  # the size guard the CLI applies to every loaded input
-MAX_CHECK_RANK = 5
-MAX_ENUM_MAPS = 3**10  # sign maps one enumeration may scan
 MAX_SIGNS = 10**6  # more subsets than this are refused before any is listed
 MAX_COUNT = 2**64  # a larger subset count is named C(n, r), never computed
 
@@ -54,8 +51,8 @@ class SignMap:
 
     The signs are stored as one flat list in lexicographic subset order,
     the order of a .chi body; `values` is either that list (taken over,
-    not copied, and only its length checked until the first read) or a
-    {subset: sign} mapping, where absent subsets are 0.
+    not copied: its length and values are checked, and nothing beyond it
+    is allocated) or a {subset: sign} mapping, where absent subsets are 0.
     Storage always uses compacted ids 1..n; `labels` names element i as
     labels[i - 1], and minors take labels and keep the ones they keep.  The
     readers of stored signs (evaluate, items, nonzero_supports, pair_table
@@ -477,8 +474,7 @@ def _enum_chunk(task):
     return count, bodies
 
 
-def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
-                     allow_large=False):
+def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False):
     """Scan every sign assignment on the r-subsets of 1..n (uniform: no
     zeros) in '-' < '0' < '+' order and count the ones that validate.
     At most os.cpu_count() worker processes split the scan.
@@ -487,17 +483,8 @@ def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False,
         raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    # lifted, the subsets are listed up front: refused past MAX_SIGNS
-    width = len(_layout(n, r)[0]) if allow_large else subset_count(n, r)
+    width = len(_layout(n, r)[0])
     base = 2 if uniform else 3
-    # 2**width passes the limit once width reaches the limit's bit length,
-    # so a huge width is refused before its power is built
-    if not allow_large and (width is None or width >= MAX_ENUM_MAPS.bit_length()
-                            or base**width > MAX_ENUM_MAPS):
-        raise SizeGuardError(
-            f"enumeration over {base}^{width or f'C({n}, {r})'} sign maps is guarded "
-            f"(limit {MAX_ENUM_MAPS}); lift explicitly to proceed"
-        )
     total = base**width
     jobs = min(jobs, total, os.cpu_count() or 1)
     tasks = []

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (input valid where validity is the question),
 1 invalid input or a domain refusal (size guard, impossible minor),
-2 usage or parse errors.  Set OM_SIZE_OVERRIDE=1 to lift the size guards.
+2 usage or parse errors.  OM_SIZE_OVERRIDE=1 lifts the size limits set here.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .chirotope import (MAX_CHECK_N, MAX_CHECK_RANK, check_chirotope, contract, delete,
-                        enumerate_bodies, find_deletable, from_vectors)
+from .chirotope import (check_chirotope, contract, delete, enumerate_bodies, find_deletable,
+                        from_vectors, subset_count)
 from .errors import OmError, ParseError, SizeGuardError
 from .formats import (parse_chi, parse_hls, parse_vec, render_rank2_svg, serialize_chi,
                       serialize_hls)
@@ -21,8 +21,15 @@ from .formats import (parse_chi, parse_hls, parse_vec, render_rank2_svg, seriali
 # command loads only what it executes
 
 
-def _env_large() -> bool:
-    return os.environ.get("OM_SIZE_OVERRIDE") == "1"
+MAX_CHECK_N = 9  # every loaded input
+MAX_CHECK_RANK = 5
+MAX_ENUM_MAPS = 3**10  # sign maps one enumeration may scan
+
+
+def _guard(within, what):
+    """Refuse work past a default limit unless OM_SIZE_OVERRIDE=1."""
+    if not within and os.environ.get("OM_SIZE_OVERRIDE") != "1":
+        raise SizeGuardError(f"{what}; lift explicitly to proceed")
 
 
 def _read_text(path: str) -> str:
@@ -68,11 +75,9 @@ def _load(args):
     else:
         obj = parse_chi(text)
         n, rank = obj.n, obj.rank
-    if (n > MAX_CHECK_N or rank > MAX_CHECK_RANK) and not _env_large():
-        raise SizeGuardError(
-            f"axiom check guarded at n <= {MAX_CHECK_N}, rank <= {MAX_CHECK_RANK} "
-            f"(got n={n}, rank={rank}); lift explicitly to proceed"
-        )
+    _guard(n <= MAX_CHECK_N and rank <= MAX_CHECK_RANK,
+           f"axiom check guarded at n <= {MAX_CHECK_N}, rank <= {MAX_CHECK_RANK} "
+           f"(got n={n}, rank={rank})")
     if fmt == "vec":
         obj = from_vectors(obj)
     return fmt, obj
@@ -197,9 +202,14 @@ def _cmd_render(args):
 # -------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args):
-    count, total, bodies = enumerate_bodies(
-        args.n, args.r, uniform=args.uniform, jobs=1 if args.jobs is None else args.jobs,
-        want_bodies=args.bodies, allow_large=_env_large())
+    n, r, jobs = args.n, args.r, 1 if args.jobs is None else args.jobs
+    width, base = subset_count(n, r), 2 if args.uniform else 3
+    # a bad --jobs skips the guard, so that the library names the first
+    # fault; the power is capped, so that a huge width is refused at once
+    _guard(jobs < 1 or width is not None and base ** min(width, 64) <= MAX_ENUM_MAPS,
+           f"enumeration over {base}^{width or f'C({n}, {r})'} sign maps is guarded "
+           f"(limit {MAX_ENUM_MAPS})")
+    count, total, bodies = enumerate_bodies(n, r, args.uniform, jobs, args.bodies)
     sys.stdout.write("".join(b + "\n" for b in bodies) + f"valid={count} total={total}\n")
     return 0
 

@@ -40,9 +40,9 @@ class ArrangementError(OmError):
 
 
 class SizeGuardError(OmError):
-    """Input past a size guard: the CLI's on every loaded input, the 10^6
-    signs a SignMap may list, or the guard of enumerate_bodies or of
-    fm_realizable_topes (exponential work)."""
+    """Input past a size limit: one of the CLI's default limits (on every
+    loaded input and on enumeration), the 10^6 signs a SignMap may list,
+    or the domain of fm_realizable_topes (exponential work)."""
 
 
 class Violation(namedtuple("Violation", "axiom witness message")):

@@ -9,19 +9,23 @@ omkit of the first --src: realizable configurations at rank 2..5 and
 n <= 7 (random, uniform, with a dependent row, with a parallel row) as
 .chi, .vec and .hls, each .hls also on labels other than 1..n; sign maps
 and sequences one move away from them, mostly not valid; and malformed
-files.  Each tree runs every command through omkit.cli.main in one
-process, its stdout and stderr captured.  Prints, per family, the
-commands run, the exit codes counted and a digest of every (command,
-exit code, stdout, stderr).  With two trees it also prints each command
-whose answer differs.  Exits 1 when an answer differs or a command
-raised out of cli.main, else 0.
+files.  An enumerate family adds every (n, r) with n <= 8 and r <= 5
+under each flag, and an absurd size.  Each tree runs every command
+through omkit.cli.main in one process, its stdout and stderr captured,
+without OM_SIZE_OVERRIDE, so past-limit scans are refused.  Prints, per
+family, the commands run, the exit codes counted and a digest of every
+(command, exit code, stdout, stderr).  With two trees it also prints
+each command whose answer differs.  Exits 1 when an answer differs or a
+command raised out of cli.main, else 0.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -114,6 +118,22 @@ def commands(rng, name, labels, rank):
     yield "render", ["render", name]
 
 
+def enumerate_commands():
+    """(family, argv) of the enumerate family: each (n, r) with n <= 8 and
+    r <= 5, with and without --uniform and --bodies, under the default
+    --jobs, --jobs 0 and --jobs 2, plus an absurd size.  A scan the
+    default limit of 3^10 maps admits is left out past 3^8 maps, since it
+    takes seconds."""
+    flags = itertools.product(([], ["--uniform"]), ([], ["--bodies"]),
+                              ([], ["--jobs", "0"], ["--jobs", "2"]))
+    for (uniform, bodies, jobs), n, r in itertools.product(flags, range(9), range(6)):
+        maps = (2 if uniform else 3) ** math.comb(n, r)
+        if 3**8 < maps <= 3**10 and jobs != ["--jobs", "0"]:
+            continue
+        yield "enumerate", ["enumerate", str(n), str(r), *uniform, *bodies, *jobs]
+    yield "enumerate", ["enumerate", "1000000", "500000"]
+
+
 def worker():
     """Run the argv list read from stdin through cli.main in this process;
     print omkit's path and one [exit code, stdout, stderr] per command."""
@@ -156,6 +176,7 @@ def main():
     rng = random.Random(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         runs = [cmd for f in list(corpus(rng, tmp)) for cmd in commands(rng, *f)]
+        runs += enumerate_commands()
         argvs = [argv for _, argv in runs]
         trees = [run_tree(src, argvs, tmp) for src in args.src]
     status = 0

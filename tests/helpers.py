@@ -385,6 +385,22 @@ def literal_census(rows):
     return census_by_height(literal_covectors(rows))
 
 
+def f_vector(m, covectors):
+    """(f_0, ..., f_{r-1}) of the sphere's cells: a nonzero covector has
+    dimension r - 1 - rank of its zero set, and that rank is the largest
+    meet of the zero set with a nonzero basis, read off m.items() alone."""
+    bases = [sum(1 << e for e in s) for s, v in m.items() if v]
+    f = [0] * m.rank
+    rank_of = {}
+    for u in covectors:
+        if any(u):
+            z = sum(1 << e for e, x in enumerate(u, start=1) if not x)
+            if z not in rank_of:
+                rank_of[z] = max(bin(b & z).count("1") for b in bases)
+            f[m.rank - 1 - rank_of[z]] += 1
+    return tuple(f)
+
+
 def zaslavsky_tope_count(rows):
     """Tope count of a vector configuration by Zaslavsky's theorem: the
     sum over subsets S of the rows of (-1)^(|S| - rank S)."""
@@ -487,6 +503,13 @@ def dual_signmap(m):
         rest = tuple(e for e in range(1, m.n + 1) if e not in s)
         values[rest] = -v if sum(a > b for a in s for b in rest) & 1 else v
     return SignMap(m.n - m.rank, m.n, values, m.labels)
+
+
+def orthogonal(u, v):
+    """Sign vectors u and v are orthogonal: their supports are disjoint,
+    or the products u_e v_e take both signs (Bjorner et al., ch. 3)."""
+    products = {a * b for a, b in zip(u, v)} - {0}
+    return len(products) != 1
 
 
 def coloops(m):

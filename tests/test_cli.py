@@ -598,23 +598,24 @@ class TestEnumerate:
 
     def test_guard_keeps_desk_scale(self, monkeypatch):
         # 3^10 maps at (5, 2) and (5, 3), 2^15 at (6, 2) uniform: the
-        # limit itself passes, and the override lifts the guard
+        # limit itself passes; the library sets no limit, so 3^15 does too
         from omkit import chirotope
 
         monkeypatch.setattr(chirotope, "_enum_chunk", lambda task: (0, []))
         assert enumerate_bodies(5, 2) == (0, 3**10, [])
         assert enumerate_bodies(5, 3) == (0, 3**10, [])
         assert enumerate_bodies(6, 2, uniform=True) == (0, 2**15, [])
-        assert enumerate_bodies(6, 2, allow_large=True) == (0, 3**15, [])
+        assert enumerate_bodies(6, 2) == (0, 3**15, [])
 
     def test_lifted_guard_keeps_the_sign_bound(self):
-        # lifted, the scan's maps must still fit the 10^6-sign bound, and a
-        # count past 2^64 is refused before it is computed
+        # with no limit of its own, the scan's maps must still fit the
+        # 10^6-sign bound, and a count past 2^64 is refused before it is
+        # computed
         from omkit import SizeGuardError
 
         with pytest.raises(SizeGuardError, match=r"^C\(1000000, 500000\) signs is past the "
                                                  r"limit of 1000000$"):
-            enumerate_bodies(10**6, 5 * 10**5, allow_large=True)
+            enumerate_bodies(10**6, 5 * 10**5)
 
 
 def loaded_by(*argv):
@@ -700,12 +701,13 @@ class TestImports:
 # since: minor_hls, NoDeletableElement, the orientation-class classifier and
 # its Enum (SignMap.evaluate gives that sign), the module core with its
 # CanonicalBasis, normalize, signed_elements, signed_sort_key and underlying,
-# and serialize_vec (.vec is an input format only).
+# serialize_vec (.vec is an input format only), and MAX_CHECK_N and
+# MAX_CHECK_RANK (the CLI's default limits, defined in omkit.cli).
 EXPORTS = {
     "arrangement": "ArrangementR1 ArrangementR2 canonical_arrangement read_rank1 "
                    "read_rank2 represent_rank1 represent_rank2",
-    "chirotope": "MAX_CHECK_N MAX_CHECK_RANK SignMap VectorConfig check_chirotope "
-                 "contract delete det_sign enumerate_bodies find_deletable from_vectors",
+    "chirotope": "SignMap VectorConfig check_chirotope contract delete det_sign "
+                 "enumerate_bodies find_deletable from_vectors",
     "errors": "ArrangementError ConstructionError ContractionError DeletionError "
               "OmError ParseError RealizationError SizeGuardError ValidationReport Violation",
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",

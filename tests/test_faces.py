@@ -6,10 +6,13 @@ import pytest
 from helpers import (
     _compose,
     census_by_height,
+    dual_signmap,
+    f_vector,
     literal_census,
     literal_closure,
     literal_covectors,
     non_pappus,
+    orthogonal,
     pappus_rows,
     random_fullrank_rows,
     relabel_signmap,
@@ -272,6 +275,72 @@ class TestZaslavsky:
                 assert len(topes(from_vectors(rows))) == zaslavsky_tope_count(rows), rows
 
 
+def _rows(rng, n, r, kind):
+    return uniform_rows(rng, n, r) if kind == "uniform" else rows_with_extra(rng, n, r, kind)
+
+
+def _euler(f):
+    return sum((-1) ** i * x for i, x in enumerate(f))
+
+
+class TestEuler:
+    # the cells form a regular cell decomposition of the (r-1)-sphere, so
+    # the alternating sum of the f-vector is its Euler characteristic,
+    # 1 + (-1)^(r-1), in every rank; helpers.f_vector reads dimensions off
+    # the bases, not off faces
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_rank(self, r):
+        rng = random.Random(8000 + r)
+        for kind in ("uniform", "dependent", "parallel"):
+            for n in (r + 1, r + 3, 9):
+                m = from_vectors(_rows(rng, n, r, kind))
+                assert _euler(f_vector(m, covectors(m))) == 1 + (-1) ** (r - 1), (kind, n)
+
+    def test_uniform_9_5(self):
+        m = from_vectors(uniform_rows(random.Random(1), 9, 5))
+        assert f_vector(m, covectors(m)) == (252, 1008, 1584, 1152, 326)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_pappus_and_its_dual(self, sign):
+        m = non_pappus(sign)
+        assert f_vector(m, covectors(m)) == (40, 96, 58)
+        d = dual_signmap(m)
+        assert f_vector(d, covectors(d)) == (172, 1020, 2368, 2784, 1686, 422)
+
+    def test_a_missing_cell_is_caught(self):
+        # sensitivity: any one cell dropped moves the sum off 0, the rank 4 value
+        m = from_vectors(uniform_rows(random.Random(2), 7, 4))
+        cells = sorted(covectors(m))
+        for u in cells[1::37]:
+            assert _euler(f_vector(m, set(cells) - {u})) != 0, u
+
+
+class TestOrthogonality:
+    # every covector of m is orthogonal to every covector of its dual
+    # (Bjorner et al., ch. 3): a check of the cell layer at ranks 4 and 5,
+    # where Fourier-Motzkin cannot reach
+    SIZES = [(5, 2), (6, 3), (6, 4), (7, 3), (7, 4)]
+
+    @staticmethod
+    def maps():
+        rng = random.Random(31)
+        return [from_vectors(_rows(rng, n, r, kind))
+                for n, r in TestOrthogonality.SIZES for kind in ("uniform", "dependent")]
+
+    def test_covectors_of_the_dual(self):
+        for m in self.maps():
+            dual = covectors(dual_signmap(m))
+            assert all(orthogonal(u, v) for u in covectors(m) for v in dual), m
+
+    def test_a_dual_without_its_sign_is_caught(self):
+        # sensitivity: chi*(E - S) = chi(S), the permutation sign dropped
+        for m in self.maps():
+            wrong = SignMap(m.n - m.rank, m.n, {
+                tuple(e for e in range(1, m.n + 1) if e not in s): v for s, v in m.items()})
+            dual = covectors(wrong)
+            assert not all(orthogonal(u, v) for u in covectors(m) for v in dual), m
+
+
 class TestFeasibility:
     def test_frame4(self):
         v = VectorConfig(FRAME4)
@@ -448,6 +517,31 @@ class TestNonPappus:
         assert tuple(face_census(m)) == (40, 96, 58)
         assert len(topes(m)) == 58
         assert len(covectors(m)) == 195
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank6_dual(self, sign):
+        # duality preserves realizability, so the dual is a non-realizable
+        # rank 6 chirotope on 9 elements, past the CLI's default limits
+        m = dual_signmap(non_pappus(sign))
+        x = from_chirotope(m)
+        assert check_chirotope(m).ok and check_hyperline(x).ok
+        assert to_chirotope(x) == m
+        assert len(covectors(m)) == 8453
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank6_dual_at_the_guard(self, sign, tmp_path, monkeypatch, capsys):
+        from omkit import cli
+
+        path = tmp_path / "np-dual.chi"
+        path.write_text(serialize_chi(dual_signmap(non_pappus(sign))))
+        monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: axiom check guarded at n <= 9, rank <= 5 (got n=9, rank=6); "
+            "lift explicitly to proceed\n")
+        monkeypatch.setenv("OM_SIZE_OVERRIDE", "1")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_cli_accepts_it(self, sign, tmp_path, capsys):
