@@ -57,9 +57,7 @@ def represent_rank1(x) -> ArrangementR1:
     n = len(x.ground)
     if sorted(x.ground) != list(range(1, n + 1)):
         raise ArrangementError("rank 1 representation needs ground 1..n")
-    side = {}
-    for s in x.chosen:
-        side[abs(s)] = 1 if s > 0 else -1
+    side = {abs(s): 1 if s > 0 else -1 for s in x.enc}
     return ArrangementR1(tuple(side[e] for e in range(1, n + 1)))
 
 

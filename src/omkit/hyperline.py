@@ -9,18 +9,18 @@ hyperline negation: (Y|Z) and (-Y|-Z) are both stored.  The constructors
 refuse, with ValueError, what is no sequence at all: an empty choice or
 atom, a higher sequence without hyperlines, a Y or Z of the wrong rank.
 
-Every sequence stores its canonical form, built once in its constructor:
-HLRank2 its rotation whose atom encodings come first, with those
-encodings, and HLHigher its distinct hyperlines in display order.  What
-is derived from that form (slot map, negation, bases, positive tuples,
-encoding) is computed on first use and kept on the object.  Components
-are shared: parse_hls returns one object per distinct component, and
-from_chirotope one per distinct Y or Z it builds (a negation is kept on
-its component), so each is negated and read once.  from_chirotope reads
-a rank 2 sequence, and each Z, off a pair table by counting.
-check_hyperline checks a component once up to negation and, from rank 3,
-up to renaming its elements in order.  Negation reindexes the stored
-rotation.
+Every sequence stores one canonical form, built once in its constructor:
+HLRank1 its signed elements sorted, HLRank2 the rotation whose atom
+encodings come first, each atom sorted, and HLHigher its distinct
+hyperlines in display order.  What is derived from that form (slot map,
+negation, bases, positive tuples, encoding) is computed on first use and
+kept on the object.  Components are shared: parse_hls returns one object
+per distinct component, and from_chirotope one per distinct Y or Z it
+builds (a negation is kept on its component), so each is negated and
+read once.  from_chirotope reads a rank 2 sequence, and each Z, off a
+pair table by counting.  check_hyperline checks a component once up to
+negation and, from rank 3, up to renaming its elements in order.
+Negation reindexes the stored rotation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ def _signed_sorted(elems):
 
 class _Sequence:
     """Equality on the stored form `_key`, hashed once; values derived
-    from the stored form are computed on first use and kept."""
+    from the stored form are computed on first use and kept.  `bases` is
+    the frozenset of (support, sign) canonical bases the sequence defines.
+    On a malformed candidate it may hold both signs for one support;
+    conversion refuses that, validation explains it."""
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key == other._key
@@ -60,7 +63,7 @@ class _Sequence:
     @cached_property
     def _head(self):
         """Y's part of a hyperline's display key: ground, base flag, encoding."""
-        yb = self._bases
+        yb = self.bases
         flag = (0 if min(yb)[1] > 0 else 1) if yb else 2
         return (tuple(sorted(self.ground)), flag, encoding(self))
 
@@ -71,58 +74,56 @@ class HLRank1(_Sequence):
     rank = 1
 
     def __init__(self, chosen):
-        ch = frozenset(map(int, chosen))
+        ch = set(map(int, chosen))
         if not ch or 0 in ch:
             raise ValueError("0 is not a signed element" if ch else "rank 1 sequence is empty")
-        self.chosen = self._key = ch
-        self._hash = hash(ch)
+        self.enc = self._key = _signed_sorted(ch)
+        self._hash = hash(self.enc)
         self.ground = frozenset(map(abs, ch))
-        self.enc = _signed_sorted(ch)
 
     @cached_property
     def negation(self):
-        return HLRank1(-e for e in self.chosen)
+        return HLRank1(-e for e in self.enc)
 
     @cached_property
-    def _bases(self):
-        return {((abs(e),), 1 if e > 0 else -1) for e in self.chosen}
+    def bases(self):
+        return frozenset(((abs(e),), 1 if e > 0 else -1) for e in self.enc)
 
     @cached_property
     def _tuples(self):
-        return {(e,) for e in self.chosen}
+        return {(e,) for e in self.enc}
 
     def __repr__(self):
         return f"HLRank1({list(self.enc)})"
 
 
 class HLRank2(_Sequence):
-    """Rank 2 sequence: cyclic atom sequence, stored in canonical rotation
-    (the one whose atom encodings come first) with the encodings beside
-    the atoms.  `pos` maps each signed element to its atom index; it is
-    None when a signed element sits in two atoms."""
+    """Rank 2 sequence: cyclic atom sequence, stored as its atom
+    encodings in canonical rotation (the one whose encodings come first).
+    `pos` maps each signed element to its atom index; it is None when a
+    signed element sits in two atoms."""
 
     rank = 2
 
     def __init__(self, atoms):
-        ats = [frozenset(map(int, a)) for a in atoms]
-        ground = frozenset(map(abs, itertools.chain.from_iterable(ats)))
-        if not ats or not all(ats) or 0 in ground:
-            raise ValueError("need at least one atom" if not ats else "empty atom"
-                             if not all(ats) else "0 is not a signed element")
-        self._store(ats, [_signed_sorted(a) for a in ats], ground)
+        enc = [_signed_sorted(set(map(int, a))) for a in atoms]
+        ground = frozenset(map(abs, itertools.chain.from_iterable(enc)))
+        if not enc or not all(enc) or 0 in ground:
+            raise ValueError("need at least one atom" if not enc else "empty atom"
+                             if not all(enc) else "0 is not a signed element")
+        self._store(enc, ground)
 
-    def _store(self, ats, enc, ground):
+    def _store(self, enc, ground):
         first = min(enc)  # the smallest rotation starts at a smallest atom
         s = min((s for s, a in enumerate(enc) if a == first),
                 key=lambda s: enc[s:] + enc[:s])
-        self.atoms = tuple(ats[s:] + ats[:s])
         self.enc = self._key = tuple(enc[s:] + enc[:s])
         self._hash = hash(self.enc)
         self.ground = ground
 
     @property
     def period(self):
-        return len(self.atoms)
+        return len(self.enc)
 
     @cached_property
     def pos(self):
@@ -131,24 +132,22 @@ class HLRank2(_Sequence):
 
     @cached_property
     def negation(self):
-        """The reversed cyclic order: stored atoms and encodings, reindexed."""
+        """The reversed cyclic order: the stored encodings, reindexed."""
         p = self.period
-        order = [-a % p for a in range(p)]
         neg = HLRank2.__new__(HLRank2)
-        neg._store([self.atoms[a] for a in order],
-                   [self.enc[a] for a in order], self.ground)
+        neg._store([self.enc[-a % p] for a in range(p)], self.ground)
         return neg
 
     @cached_property
-    def _bases(self):
+    def bases(self):
         """(u, v) is a base when v lies less than half a turn (k slots)
         after u (+) or more than half a turn after it (-)."""
         p = self.period
         pos = None if p % 2 else self.pos
         els = sorted(e for e in self.ground if e in (pos or ()))
-        return {((u, v), 1 if d < p // 2 else -1)
-                for i, u in enumerate(els) for v in els[i + 1:]
-                if (d := (pos[v] - pos[u]) % p) % (p // 2)}
+        return frozenset(((u, v), 1 if d < p // 2 else -1)
+                         for i, u in enumerate(els) for v in els[i + 1:]
+                         if (d := (pos[v] - pos[u]) % p) % (p // 2))
 
     @cached_property
     def _table(self):
@@ -215,18 +214,18 @@ class HLHigher(_Sequence):
         per Z element, the Y elements above it."""
         out = []
         for h in self.hyperlines:
-            for sup_y, sign_y in h.y._bases:
+            for sup_y, sign_y in h.y.bases:
                 ys = set(sup_y)
                 above = {e: len(sup_y) - bisect(sup_y, e) for e in h.z.ground}
                 out += [(tuple(sorted(sup_y + sup_z)),
                          sign_y * sign_z * (1 - 2 * (sum(map(above.get, sup_z)) & 1)),
                          sup_y, sign_y)
-                        for sup_z, sign_z in h.z._bases if ys.isdisjoint(sup_z)]
+                        for sup_z, sign_z in h.z.bases if ys.isdisjoint(sup_z)]
         return out
 
     @cached_property
-    def _bases(self):
-        return {cell[:2] for cell in self._cells}
+    def bases(self):
+        return frozenset(cell[:2] for cell in self._cells)
 
     @cached_property
     def _tuples(self):
@@ -254,13 +253,6 @@ def _display_key(h):
     return (h.y._head, encoding(h.z))
 
 
-def bases(x) -> set:
-    """All (support, sign) canonical bases the sequence defines.  On a
-    malformed candidate the set may contain both signs for one support;
-    conversion refuses that, validation explains it."""
-    return set(x._bases)
-
-
 # -------------------------------------------------------------- validation
 
 def check_hyperline(x) -> ValidationReport:
@@ -284,7 +276,7 @@ def _check(x, report, path, clean):
     before = len(report.violations)
     at = (path + ": ") if path else ""
     if isinstance(x, HLRank1):
-        if len(x.chosen) != len(x.ground):
+        if len(x.enc) != len(x.ground):
             report.add("structure", (path,), f"{at}an element appears with both signs")
     elif isinstance(x, HLRank2):
         _check_rank2(x, report, path)
@@ -313,7 +305,7 @@ def _check_rank2(x, report, path):
     if ok:
         k = x.period // 2
         for a in range(k):
-            if x.atoms[a + k] != frozenset(-s for s in x.atoms[a]):
+            if x.enc[a + k] != _signed_sorted([-s for s in x.enc[a]]):
                 report.add("antipodality", (path, a),
                            f"{at}atom {a + k} is not the negation of atom {a}")
                 break
@@ -355,7 +347,7 @@ def _check_higher(x, report, path, clean):
     # one hyperline per flat: every way of dropping two elements from a
     # base must land on some hyperline
     covered = set()
-    for sup, _ in sorted(x._bases):
+    for sup, _ in sorted(x.bases):
         for p in itertools.combinations(sup, x.rank - 2):
             if p in covered:
                 continue
@@ -370,7 +362,7 @@ def _check_higher(x, report, path, clean):
     holding = {}  # Y base support -> hyperlines whose Y ground contains it
     for i, h in enumerate(hls):
         near = set()
-        for sup, _ in h.y._bases:
+        for sup, _ in h.y.bases:
             if sup not in holding:
                 holding[sup] = [j for g, js in on_ground.items()
                                 if g.issuperset(sup) for j in js]
@@ -414,7 +406,7 @@ def _h3_h4(x, completions, report, at):
     when each base (support, sign) is reached from all r (r - 1) of its
     cells (Y support, Y sign), the most any base can have."""
     r, ground = x.rank, x.ground
-    supports = {sup for sup, _ in x._bases}
+    supports = {sup for sup, _ in x.bases}
     first_base = {}  # elements completing nothing -> first base among them
     h3_base = {}     # id of a completion set -> first_base of what it misses
     tables = {id(t): t for row in completions.values() for t in row.values()}
@@ -439,7 +431,7 @@ def _h3_h4(x, completions, report, at):
         pref, tsup = head + (y, a), h3_base[id(completions[head][y][a])]
         report.add("H3", (pref, tsup), f"{at}no exchange: prefix {pref} admits "
                    f"no completion from base {tsup}")
-    if len(set(x._cells)) != r * (r - 1) * len(x._bases):
+    if len(set(x._cells)) != r * (r - 1) * len(x.bases):
         head, y, a = first(lost)
         h4 = head + (y, a, min(lost(head, y, a)))
         moved = h4[: r - 3] + (-h4[r - 2], h4[r - 3]) + h4[r - 1:]
@@ -455,7 +447,7 @@ def to_chirotope(x) -> SignMap:
     elems = sorted(x.ground)
     index = {e: i + 1 for i, e in enumerate(elems)}
     values = {}
-    for sup, sign in x._bases:
+    for sup, sign in x.bases:
         key = tuple(index[e] for e in sup)
         if values.get(key, sign) != sign:
             raise ConstructionError(f"hyperlines disagree on the orientation of {sup}")

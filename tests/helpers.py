@@ -146,9 +146,9 @@ def literal_c4_witness(m):
 
 # ----------------------------------------------- literal hyperline axioms
 #
-# These read a sequence only through its data (.rank, .chosen, .atoms,
-# .hyperlines, .y, .z, .ground) and call nothing in omkit.hyperline.  The
-# H2/H3/H4 scans are the original quadratic ones.
+# These read a sequence only through its data (.rank, .enc, .hyperlines,
+# .y, .z, .ground) and call nothing in omkit.hyperline.  The H2/H3/H4
+# scans are the original quadratic ones.
 
 
 def _signed_key(e):
@@ -156,15 +156,15 @@ def _signed_key(e):
 
 
 def literal_positive_tuples(x):
-    """Every positively oriented signed tuple, rebuilt from .chosen and
-    .atoms: rank 2 pairs by atom position, higher ranks as Y tuple plus
-    a Z pair on disjoint elements."""
+    """Every positively oriented signed tuple, rebuilt from .enc: rank 1
+    its elements, rank 2 pairs by atom position, higher ranks as Y tuple
+    plus a Z pair on disjoint elements."""
     if x.rank == 1:
-        return {(e,) for e in x.chosen}
+        return {(e,) for e in x.enc}
     if x.rank == 2:
-        p = len(x.atoms)
+        p = len(x.enc)
         k = p // 2
-        pos = {s: i for i, a in enumerate(x.atoms) for s in a}
+        pos = {s: i for i, a in enumerate(x.enc) for s in a}
         return {(a, b) for a in pos for b in pos
                 if abs(a) != abs(b) and 0 < (pos[b] - pos[a]) % p < k}
     out = set()
@@ -203,10 +203,10 @@ def _canon(x, negated=False, rename=None):
 
     if x.rank == 1:
         return (1, frozenset(-name(e) if negated else name(e)
-                             for e in x.chosen))
+                             for e in x.enc))
     if x.rank == 2:
-        p = len(x.atoms)
-        atoms = [x.atoms[(-a) % p] if negated else x.atoms[a] for a in range(p)]
+        p = len(x.enc)
+        atoms = [x.enc[(-a) % p] if negated else x.enc[a] for a in range(p)]
         enc = [tuple(sorted(map(name, a), key=_signed_key)) for a in atoms]
         return (2, min(tuple(enc[s:] + enc[:s]) for s in range(p)))
     return (x.rank, frozenset((_canon(h.y, False, rename),
@@ -230,18 +230,18 @@ def literal_negation(x):
 
 def _encoding(x):
     if x.rank == 1:
-        return (1, tuple(sorted(x.chosen, key=_signed_key)))
+        return (1, tuple(sorted(x.enc, key=_signed_key)))
     if x.rank == 2:
-        return (2, tuple(tuple(sorted(a, key=_signed_key)) for a in x.atoms))
+        return (2, tuple(tuple(sorted(a, key=_signed_key)) for a in x.enc))
     return (x.rank, tuple(sorted((_encoding(h.y), _encoding(h.z))
                                  for h in x.hyperlines)))
 
 
 def literal_period2_paths(x, path=""):
     """Paths, in the check's notation, of the rank 2 components of x
-    with two atoms, read off .atoms and .hyperlines in stored order."""
+    with two atoms, read off .enc and .hyperlines in stored order."""
     if x.rank < 3:
-        return [path] if x.rank == 2 and len(x.atoms) == 2 else []
+        return [path] if x.rank == 2 and len(x.enc) == 2 else []
     pre = path + "." if path else ""
     return [p for i, h in enumerate(x.hyperlines) for part, c in (("Y", h.y), ("Z", h.z))
             for p in literal_period2_paths(c, f"{pre}hyperline[{i}].{part}")]
@@ -412,6 +412,27 @@ def zaslavsky_tope_count(rows):
     return total
 
 
+def flat_f_vector(rows):
+    """(f_0, ..., f_{r-1}) of a vector configuration, counted by flats:
+    the cells whose zero set spans the flat F are the topes of the
+    quotient by F, so f_k is the sum, over the flats F of rank r - 1 - k,
+    of the Zaslavsky tope count of the rows left in that quotient."""
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    r, ids = len(rows[0]), range(1, len(rows) + 1)
+    f = [0] * r
+    for rank in range(r):
+        seen = set()
+        for basis in itertools.combinations(ids, rank):
+            sub = [rows[i - 1] for i in basis]
+            if _rank_fraction(sub) < rank:
+                continue
+            flat = frozenset(i for i in ids if _rank_fraction(sub + [rows[i - 1]]) == rank)
+            if flat not in seen:
+                seen.add(flat)
+                f[r - 1 - rank] += zaslavsky_tope_count(quotient_coords(rows, basis)[1])
+    return tuple(f)
+
+
 # ------------------------------------------------------ rank 2 by angles
 
 def angular_atoms(rows):
@@ -480,13 +501,13 @@ def reorient_signmap(m, e):
 
 def rename_sequence(x, name):
     """The sequence x with each signed element s read as name(s), rebuilt
-    through the constructors from .chosen, .atoms and .hyperlines: a
-    relabeling when name renames elements, a reorientation of e when it
-    bars e and its bar alone."""
+    through the constructors from .enc and .hyperlines: a relabeling when
+    name renames elements, a reorientation of e when it bars e and its
+    bar alone."""
     if x.rank == 1:
-        return HLRank1({name(s) for s in x.chosen})
+        return HLRank1({name(s) for s in x.enc})
     if x.rank == 2:
-        return HLRank2([{name(s) for s in a} for a in x.atoms])
+        return HLRank2([{name(s) for s in a} for a in x.enc])
     return HLHigher(x.rank, [Hyperline(rename_sequence(h.y, name), rename_sequence(h.z, name))
                              for h in x.hyperlines])
 
@@ -520,7 +541,7 @@ def coloops(m):
 
 # ---------------------------------------------------- neighbourhood moves
 #
-# Single local moves on a hyperline sequence, built from .atoms and
+# Single local moves on a hyperline sequence, built from .enc and
 # .hyperlines.  Each yields a candidate, valid or not, for the check to
 # judge against the chirotope route.
 
@@ -551,11 +572,11 @@ def neighbours(x):
     move on one hyperline's Z or, at rank 3, that hyperline's Y negated,
     applied to the hyperline and its negation together."""
     if x.rank == 2:
-        return [HLRank2(atoms) for atoms in rank2_moves(x.atoms)]
+        return [HLRank2(atoms) for atoms in rank2_moves(x.enc)]
     out = []
     for h in x.hyperlines:
         kept = set(x.hyperlines) - {h, Hyperline(h.y.negation, h.z.negation)}
-        pairs = [(h.y, HLRank2(atoms)) for atoms in rank2_moves(h.z.atoms)]
+        pairs = [(h.y, HLRank2(atoms)) for atoms in rank2_moves(h.z.enc)]
         pairs += [(h.y.negation, h.z)] if x.rank == 3 else []
         out += [HLHigher(x.rank, kept | {Hyperline(y, z), Hyperline(y.negation, z.negation)})
                 for y, z in pairs]
@@ -576,9 +597,9 @@ def triangle_flip(x, a, b, c, flats=None):
             out.append(h)
             continue
         pair = {a, b, c} - {e}
-        atoms = list(h.z.atoms)
+        atoms = list(h.z.enc)
         p = len(atoms)
-        at = [i for i in range(p) if {abs(s) for s in atoms[i] | atoms[(i + 1) % p]} == pair]
+        at = [i for i in range(p) if {abs(s) for s in atoms[i] + atoms[(i + 1) % p]} == pair]
         if not at:
             return None
         for i in at:  # the pair and its antipodes

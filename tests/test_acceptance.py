@@ -21,7 +21,6 @@ from omkit import (
     HLRank2,
     SignMap,
     VectorConfig,
-    bases,
     canonical_arrangement,
     check_chirotope,
     check_hyperline,
@@ -69,7 +68,7 @@ def test_criterion_1_encodings_agree_exhaustively():
             else:
                 dual = (
                     check_hyperline(x).ok
-                    and bases(x) == {(s, v) for s, v in m.items() if v}
+                    and x.bases == {(s, v) for s, v in m.items() if v}
                 )
             assert direct == dual, (
                 f"encodings disagree on {dict(zip(supports, signs))}"

@@ -713,8 +713,8 @@ EXPORTS = {
     "faces": "FaceCensus cocircuits covectors face_census fm_realizable_topes topes",
     "formats": "parse_chi parse_hls parse_vec render_rank2_svg serialize_chi "
                "serialize_hls",
-    "hyperline": "HLHigher HLRank1 HLRank2 Hyperline bases check_hyperline "
-                 "from_chirotope to_chirotope",
+    "hyperline": "HLHigher HLRank1 HLRank2 Hyperline check_hyperline from_chirotope "
+                 "to_chirotope",
 }
 
 

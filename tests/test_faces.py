@@ -8,6 +8,7 @@ from helpers import (
     census_by_height,
     dual_signmap,
     f_vector,
+    flat_f_vector,
     literal_census,
     literal_closure,
     literal_covectors,
@@ -313,6 +314,28 @@ class TestEuler:
         cells = sorted(covectors(m))
         for u in cells[1::37]:
             assert _euler(f_vector(m, set(cells) - {u})) != 0, u
+
+
+class TestFlatCount:
+    # a second count of the same cells that reads no covector: f_k sums,
+    # over the flats F of rank r-1-k, the Zaslavsky tope count of the
+    # quotient by F
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_agrees_with_the_covectors(self, r):
+        rng = random.Random(9000 + r)
+        for kind in ("uniform", "dependent"):
+            for n in (r + 1, 8):
+                rows = _rows(rng, n, r, kind)
+                m = from_vectors(rows)
+                assert f_vector(m, covectors(m)) == flat_f_vector(rows), (kind, rows)
+
+    def test_a_missing_cell_is_caught(self):
+        rows = _rows(random.Random(9100), 6, 3, "dependent")
+        m = from_vectors(rows)
+        cells = covectors(m)
+        expected = flat_f_vector(rows)
+        for u in sorted(u for u in cells if any(u))[::11]:
+            assert f_vector(m, cells - {u}) != expected, u
 
 
 class TestOrthogonality:

@@ -29,7 +29,6 @@ from omkit import (
     HLRank2,
     Hyperline,
     SignMap,
-    bases,
     check_chirotope,
     check_hyperline,
     contract,
@@ -292,30 +291,33 @@ class TestCheck:
 
 class TestBases:
     def test_rank1(self):
-        assert bases(HLRank1({1, -2})) == {((1,), 1), ((2,), -1)}
+        assert HLRank1({1, -2}).bases == {((1,), 1), ((2,), -1)}
 
     def test_rank2_hexagon(self):
-        assert bases(HLRank2(HEXA)) == {
+        assert HLRank2(HEXA).bases == {
             ((1, 2), 1), ((1, 3), 1), ((2, 3), 1),
         }
 
     def test_rank2_parallel_pair(self):
         # elements sharing an atom span nothing
         x = HLRank2([{1, 2}, {3}, {-1, -2}, {-3}])
-        assert bases(x) == {((1, 3), 1), ((2, 3), 1)}
+        assert x.bases == {((1, 3), 1), ((2, 3), 1)}
 
     def test_rank2_antipodal_pair(self):
         # 3 shares an atom with ~1: the pair (1, 3) spans nothing
         y = HLRank2([{1, -3}, {2}, {-1, 3}, {-2}])
-        assert bases(y) == {((1, 2), 1), ((2, 3), 1)}
+        assert y.bases == {((1, 2), 1), ((2, 3), 1)}
 
     def test_rank3(self):
         m = from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
         x = from_chirotope(m)
-        assert bases(x) == {(s, v) for s, v in m.items() if v}
+        assert x.bases == {(s, v) for s, v in m.items() if v}
+        # a cached attribute that no caller can change
+        h = x.hyperlines[0]
+        assert all(type(c.bases) is frozenset for c in (x, h.y, h.z))
 
     def test_degenerate_period_has_no_bases(self):
-        assert bases(HLRank2([{1, 2}, {-1, -2}])) == set()
+        assert HLRank2([{1, 2}, {-1, -2}]).bases == set()
 
 
 class TestConversion:
@@ -340,7 +342,7 @@ class TestConversion:
         for _ in range(60):
             rows = random_fullrank_rows(rng, rng.randint(2, 6), 2)
             x = from_chirotope(from_vectors(rows))
-            assert rotations_equal(x.atoms, angular_atoms(rows))
+            assert rotations_equal(map(frozenset, x.enc), angular_atoms(rows))
 
     def test_roundtrip_corpus(self, corpus):
         for n, r, rows in corpus[:80]:
@@ -466,7 +468,7 @@ class TestMinorHls:
 def _mutated_z(rng, z):
     """An antipodal rank 2 sequence from z: rotate, then either apply a
     random signed permutation to one half or merge two adjacent atoms."""
-    atoms = list(z.atoms)
+    atoms = [frozenset(a) for a in z.enc]
     s = rng.randrange(len(atoms))
     atoms = atoms[s:] + atoms[:s]
     half = atoms[: len(atoms) // 2]
@@ -646,7 +648,7 @@ class TestSharedComponents:
         x = from_chirotope(from_vectors(
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]))
         h = x.hyperlines[0]
-        bad = HLRank2(list(h.z.atoms)[:-1])  # odd period
+        bad = HLRank2(h.z.enc[:-1])  # odd period
         rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
         x = HLHigher(4, rest + [Hyperline(h.y, bad), Hyperline(h.y.negation, bad)])
         odd = [("structure", f"hyperline[{i}].Z: {msg}") for i in (0, 1) for msg in (
@@ -662,7 +664,7 @@ class TestSharedComponents:
         h = x.hyperlines[0]
         inner = h.y.hyperlines[0]
         bad_y = HLHigher(3, [g for g in h.y.hyperlines if g != inner]
-                         + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
+                         + [Hyperline(inner.y, HLRank2(inner.z.enc[:-1]))])
         rest = [g for g in x.hyperlines if g.y.ground != h.y.ground]
         x = HLHigher(5, rest + [Hyperline(bad_y, h.z), Hyperline(bad_y, h.z.negation)])
         # each nested report names the path of the component it is about
@@ -685,7 +687,7 @@ class TestSharedComponents:
         h = x.hyperlines[-1]
         inner = h.y.hyperlines[0]
         bad_y = HLHigher(3, [g for g in h.y.hyperlines if g != inner]
-                         + [Hyperline(inner.y, HLRank2(list(inner.z.atoms)[:-1]))])
+                         + [Hyperline(inner.y, HLRank2(inner.z.enc[:-1]))])
         x = HLHigher(5, [g for g in x.hyperlines if g != h] + [Hyperline(bad_y, h.z)])
         at = [i for i, g in enumerate(x.hyperlines) if g.y is bad_y]
         assert at and at[0] > 0
