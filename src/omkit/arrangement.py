@@ -57,6 +57,8 @@ def represent_rank1(x) -> ArrangementR1:
     n = len(x.ground)
     if sorted(x.ground) != list(range(1, n + 1)):
         raise ArrangementError("rank 1 representation needs ground 1..n")
+    if len(x.enc) != n:
+        raise ArrangementError("an element appears with both signs")
     side = {abs(s): 1 if s > 0 else -1 for s in x.enc}
     return ArrangementR1(tuple(side[e] for e in range(1, n + 1)))
 

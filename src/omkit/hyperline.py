@@ -13,14 +13,13 @@ Every sequence stores one canonical form, built once in its constructor:
 HLRank1 its signed elements sorted, HLRank2 the rotation whose atom
 encodings come first, each atom sorted, and HLHigher its distinct
 hyperlines in display order.  What is derived from that form (slot map,
-negation, bases, positive tuples, encoding) is computed on first use and
-kept on the object.  Components are shared: parse_hls returns one object
+negation, bases, positive tuples) is computed on first use and kept on
+the object.  Components are shared: parse_hls returns one object
 per distinct component, and from_chirotope one per distinct Y or Z it
 builds (a negation is kept on its component), so each is negated and
 read once.  from_chirotope reads a rank 2 sequence, and each Z, off a
-pair table by counting.  check_hyperline checks a component once up to
-negation and, from rank 3, up to renaming its elements in order.
-Negation reindexes the stored rotation.
+pair table by counting.  check_hyperline checks each distinct component
+value once up to negation.  Negation reindexes the stored rotation.
 """
 
 from __future__ import annotations
@@ -53,19 +52,11 @@ class _Sequence:
         return self._hash
 
     @cached_property
-    def _shape(self):
-        """The encoding with the ground renamed 1..n in order.  The check
-        only compares, negates and sorts elements, so a sequence and its
-        shape get the same verdict."""
-        rank = dict(zip(sorted(self.ground), range(1, len(self.ground) + 1)))
-        return _renamed(encoding(self), lambda e: rank[e] if e > 0 else -rank[-e])
-
-    @cached_property
     def _head(self):
-        """Y's part of a hyperline's display key: ground, base flag, encoding."""
+        """Y's part of a hyperline's display key: ground, base flag, stored form."""
         yb = self.bases
         flag = (0 if min(yb)[1] > 0 else 1) if yb else 2
-        return (tuple(sorted(self.ground)), flag, encoding(self))
+        return (tuple(sorted(self.ground)), flag, self.enc)
 
 
 class HLRank1(_Sequence):
@@ -205,7 +196,7 @@ class HLHigher(_Sequence):
 
     @cached_property
     def enc(self):
-        return tuple(sorted((encoding(h.y), encoding(h.z)) for h in self.hyperlines))
+        return tuple(sorted((h.y.enc, h.z.enc) for h in self.hyperlines))
 
     @cached_property
     def _cells(self):
@@ -237,20 +228,8 @@ class HLHigher(_Sequence):
         return f"HLHigher(rank={self.rank}, hyperlines={len(self.hyperlines)})"
 
 
-def encoding(x):
-    """Deterministic nested-tuple encoding, used for stable ordering."""
-    return (x.rank, x.enc)
-
-
-def _renamed(code, f):
-    r, enc = code
-    if r > 2:
-        return (r, tuple((_renamed(y, f), _renamed(z, f)) for y, z in enc))
-    return (r, tuple(map(f, enc)) if r == 1 else tuple(tuple(map(f, a)) for a in enc))
-
-
 def _display_key(h):
-    return (h.y._head, encoding(h.z))
+    return (h.y._head, h.z.enc)
 
 
 # -------------------------------------------------------------- validation
@@ -265,13 +244,10 @@ def check_hyperline(x) -> ValidationReport:
 
 def _check(x, report, path, clean):
     """Check x at path.  A nested component that reports nothing goes in
-    `clean` with its negation (same verdict) and, from rank 3, its shape:
-    none of them is checked again.  One that reports anything is checked
-    at each path, because its messages name the path."""
+    `clean` with its negation (same verdict), and no equal value is
+    checked again.  One that reports anything is checked at each path,
+    because its messages name the path."""
     if x in clean:
-        return
-    if path and x.rank > 2 and x._shape in clean:
-        clean.add(x.negation)
         return
     before = len(report.violations)
     at = (path + ": ") if path else ""
@@ -283,7 +259,7 @@ def _check(x, report, path, clean):
     else:
         _check_higher(x, report, path, clean)
     if path and len(report.violations) == before:
-        clean.update((x, x.negation) + ((x._shape,) if x.rank > 2 else ()))
+        clean.update((x, x.negation))
 
 
 def _check_rank2(x, report, path):

@@ -441,6 +441,11 @@ class TestRepresentations:
         with pytest.raises(ArrangementError):
             represent_rank1(HLRank1({1, 3}))
 
+    def test_rank1_refuses_both_signs(self):
+        # refused like a malformed rank 2 sequence, not read off one copy
+        with pytest.raises(ArrangementError, match="both signs"):
+            represent_rank1(HLRank1({1, -1, 2}))
+
     def test_rank1_validation(self):
         with pytest.raises(ValueError):
             ArrangementR1((1, 0))

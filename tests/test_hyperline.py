@@ -35,6 +35,7 @@ from omkit import (
     delete,
     from_chirotope,
     from_vectors,
+    parse_hls,
     serialize_hls,
     to_chirotope,
 )
@@ -681,8 +682,9 @@ class TestSharedComponents:
             odd[0] + missing[:1] + odd[1] + missing[1:]
 
     def test_malformed_y_after_clean_ones(self):
-        # clean Ys of one shape come first; a malformed Y on the same number
-        # of elements later in display order is still checked and reported
+        # clean Ys come first and are skipped only where the same value (or
+        # its negation) recurs; a malformed Y on the same number of elements
+        # later in display order is still checked and reported
         x = from_chirotope(from_vectors(random_fullrank_rows(random.Random(8), 6, 5)))
         h = x.hyperlines[-1]
         inner = h.y.hyperlines[0]
@@ -694,3 +696,18 @@ class TestSharedComponents:
         report = check_hyperline(x)
         assert any(v.message.startswith(f"hyperline[{at[0]}].Y.hyperline[")
                    for v in report.violations)
+
+    def test_parsed_and_built_sequences_agree(self):
+        # a parsed sequence holds other component objects than the one built
+        # by from_chirotope, which shares them between hyperlines, so the
+        # skip of a clean component must key on its value: both forms of
+        # seeded (7, 5) sequences and of a sample of their neighbours, most
+        # of them invalid, get the same report
+        rng = random.Random(28)
+        for _ in range(2):
+            x = from_chirotope(from_vectors(random_fullrank_rows(rng, 7, 5)))
+            for v in [x, *rng.sample(neighbours(x), 15)]:
+                parsed, built = check_hyperline(parse_hls(serialize_hls(v))), check_hyperline(v)
+                assert str(parsed) == str(built)
+                assert [w.witness for w in parsed.violations] == \
+                    [w.witness for w in built.violations]
