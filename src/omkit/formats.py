@@ -157,14 +157,14 @@ def parse_hls(text: str):
         if not isinstance(items, list) or not items:
             raise ParseError(f"{path}: rank {rank} needs a nonempty '{name}' list")
         if rank == 1:
-            return HLRank1({_parse_element(t, f"{path}.elements", i)
-                            for i, t in enumerate(items)})
+            return HLRank1([_parse_element(t, f"{path}.elements", i)
+                            for i, t in enumerate(items)])
         parsed = []
         for i, atom in enumerate(items):
             if not isinstance(atom, list) or not atom:
                 raise ParseError(f"{path}.atoms[{i}]: atom must be a nonempty list")
-            parsed.append({_parse_element(t, f"{path}.atoms", i, j)
-                           for j, t in enumerate(atom)})
+            parsed.append([_parse_element(t, f"{path}.atoms", i, j)
+                           for j, t in enumerate(atom)])
         return HLRank2(parsed)
 
     try:

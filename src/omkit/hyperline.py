@@ -11,15 +11,18 @@ atom, a higher sequence without hyperlines, a Y or Z of the wrong rank.
 
 Every sequence stores one canonical form, built once in its constructor:
 HLRank1 its signed elements sorted, HLRank2 the rotation whose atom
-encodings come first, each atom sorted, and HLHigher its distinct
-hyperlines in display order.  What is derived from that form (slot map,
+encodings come first, each atom sorted, and HLHigher the sorted (Y, Z)
+encoding pairs of its hyperlines, which it also keeps in display order.
+That form, `enc`, is the identity: two sequences of one class are equal
+exactly when their `enc` are.  What is derived from it (slot map,
 negation, bases, positive tuples) is computed on first use and kept on
-the object.  Components are shared: parse_hls returns one object
-per distinct component, and from_chirotope one per distinct Y or Z it
-builds (a negation is kept on its component), so each is negated and
-read once.  from_chirotope reads a rank 2 sequence, and each Z, off a
-pair table by counting.  check_hyperline checks each distinct component
-value once up to negation.  Negation reindexes the stored rotation.
+the object.  parse_hls returns one object per distinct component, and
+from_chirotope one per distinct Y or Z it builds.  A negation is built
+once and kept on its own object, but never matched with an equal
+component built elsewhere: a parsed -Y and Y.negation are two objects.
+from_chirotope reads a rank 2 sequence, and each Z, off a pair table by
+counting.  check_hyperline checks each distinct component value once up
+to negation.  Negation reindexes the stored rotation.
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ def _signed_sorted(elems):
 
 
 class _Sequence:
-    """Equality on the stored form `_key`, hashed once; values derived
-    from the stored form are computed on first use and kept.  `bases` is
+    """Equality on the stored form `enc`, hashed once; values derived
+    from it are computed on first use and kept.  `bases` is
     the frozenset of (support, sign) canonical bases the sequence defines.
     On a malformed candidate it may hold both signs for one support;
     conversion refuses that, validation explains it."""
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._key == other._key
+        return type(other) is type(self) and self.enc == other.enc
 
     def __hash__(self):
         return self._hash
@@ -68,7 +71,7 @@ class HLRank1(_Sequence):
         ch = set(map(int, chosen))
         if not ch or 0 in ch:
             raise ValueError("0 is not a signed element" if ch else "rank 1 sequence is empty")
-        self.enc = self._key = _signed_sorted(ch)
+        self.enc = _signed_sorted(ch)
         self._hash = hash(self.enc)
         self.ground = frozenset(map(abs, ch))
 
@@ -108,7 +111,7 @@ class HLRank2(_Sequence):
         first = min(enc)  # the smallest rotation starts at a smallest atom
         s = min((s for s, a in enumerate(enc) if a == first),
                 key=lambda s: enc[s:] + enc[:s])
-        self.enc = self._key = tuple(enc[s:] + enc[:s])
+        self.enc = tuple(enc[s:] + enc[:s])
         self._hash = hash(self.enc)
         self.ground = ground
 
@@ -159,11 +162,7 @@ class HLRank2(_Sequence):
         return f"HLRank2({[list(a) for a in self.enc]})"
 
 
-class Hyperline(namedtuple("Hyperline", "y z")):
-    """y: the rank r-2 sequence on the hyperline, z: the rank 2 sequence
-    around it."""
-
-    __slots__ = ()
+Hyperline = namedtuple("Hyperline", "y z")
 
 
 class HLHigher(_Sequence):
@@ -186,17 +185,13 @@ class HLHigher(_Sequence):
         self.hyperlines = tuple(sorted(hls, key=_display_key))
         self.ground = frozenset().union(*(h.y.ground for h in self.hyperlines),
                                         *(h.z.ground for h in self.hyperlines))
-        self._key = (self.rank, self.hyperlines)
-        self._hash = hash(self._key)
+        self.enc = tuple(sorted((h.y.enc, h.z.enc) for h in self.hyperlines))
+        self._hash = hash(self.enc)
 
     @cached_property
     def negation(self):
         """Every Z negated; each Z keeps its own negation."""
         return HLHigher(self.rank, [Hyperline(h.y, h.z.negation) for h in self.hyperlines])
-
-    @cached_property
-    def enc(self):
-        return tuple(sorted((h.y.enc, h.z.enc) for h in self.hyperlines))
 
     @cached_property
     def _cells(self):
@@ -322,27 +317,18 @@ def _check_higher(x, report, path, clean):
 
     # one hyperline per flat: every way of dropping two elements from a
     # base must land on some hyperline
-    covered = set()
     for sup, _ in sorted(x.bases):
         for p in itertools.combinations(sup, x.rank - 2):
-            if p in covered:
-                continue
             if frozenset(p) not in on_ground and \
                     not any(g.issuperset(p) for g in on_ground):
                 report.add("structure", (p,), f"{at}no hyperline contains {p}")
                 return
-            covered.add(p)
 
     # H2: a positive base of one Y lying inside another Y's ground forces
     # the two hyperlines to agree up to simultaneous negation.
-    holding = {}  # Y base support -> hyperlines whose Y ground contains it
     for i, h in enumerate(hls):
-        near = set()
-        for sup, _ in h.y.bases:
-            if sup not in holding:
-                holding[sup] = [j for g, js in on_ground.items()
-                                if g.issuperset(sup) for j in js]
-            near.update(holding[sup])
+        near = {j for sup, _ in h.y.bases for g, js in on_ground.items()
+                if g.issuperset(sup) for j in js}
         j = next((j for j in sorted(near) if j != i and opposite[j] != i), None)
         if j is not None:
             report.add("H2", (i, j),

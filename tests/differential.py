@@ -8,8 +8,9 @@ The corpus comes from the generators in tests/helpers.py, run with the
 omkit of the first --src: realizable configurations at rank 2..5 and
 n <= 7 (random, uniform, with a dependent row, with a parallel row) as
 .chi, .vec and .hls, each .hls also on labels other than 1..n; sign maps
-and sequences one move away from them, mostly not valid; and malformed
-files.  An enumerate family adds every (n, r) with n <= 8 and r <= 5
+and sequences one move away from them, mostly not valid; malformed
+files; and the non-realizable rank 3 non-Pappus maps on 9 elements, as
+.chi and .hls.  An enumerate family adds every (n, r) with n <= 8 and r <= 5
 under each flag, and an absurd size.  Each tree runs every command
 through omkit.cli.main in one process, its stdout and stderr captured,
 without OM_SIZE_OVERRIDE, so past-limit scans are refused.  Prints, per
@@ -55,8 +56,8 @@ MALFORMED = {
 
 def corpus(rng, tmp):
     """Write the corpus into tmp; yield (file name, labels, rank)."""
-    from helpers import (neighbours, random_fullrank_rows, random_signmap, rows_with_extra,
-                         uniform_rows)
+    from helpers import (neighbours, non_pappus, random_fullrank_rows, random_signmap,
+                         rows_with_extra, uniform_rows)
     from omkit import SignMap, from_chirotope, from_vectors, serialize_chi, serialize_hls
 
     def write(name, text):
@@ -98,6 +99,11 @@ def corpus(rng, tmp):
     for name, text in MALFORMED.items():
         write(name, text)
         yield name, [1, 2, 3], 2
+    for sign in (1, -1):
+        m, stem = non_pappus(sign), f"non-pappus{sign:+d}"
+        write(f"{stem}.chi", serialize_chi(m))
+        write(f"{stem}.hls", serialize_hls(from_chirotope(m)))
+        yield from ((stem + tail, list(range(1, 10)), 3) for tail in (".chi", ".hls"))
 
 
 def commands(rng, name, labels, rank):

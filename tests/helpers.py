@@ -608,16 +608,21 @@ def triangle_flip(x, a, b, c, flats=None):
     return HLHigher(x.rank, out)
 
 
-def route_disagreements(maps, seen):
+def route_disagreements(maps, seen, sample=None):
     """The sequences of the valid sign maps `maps`, and every sequence one
     move away from them, on which check_hyperline disagrees with
     passes_chirotope_route.  seen counts the sequences checked by (rank,
-    verdict)."""
+    verdict).  With sample, a pair (rng, k), each map's sequence brings k
+    of its distinct neighbours, drawn by rng, instead of all of them."""
     from omkit import check_hyperline, from_chirotope
 
-    starts = {from_chirotope(m) for m in maps}
+    starts = [from_chirotope(m) for m in maps]
+    moved = [neighbours(x) for x in starts]
+    if sample:
+        rng, k = sample
+        moved = [rng.sample(list(dict.fromkeys(vs)), k) for vs in moved]
     bad = []
-    for v in starts.union(*map(neighbours, starts)):
+    for v in set(starts).union(*moved):
         ok = passes_chirotope_route(v)
         if check_hyperline(v).ok != ok:
             bad.append(v)
