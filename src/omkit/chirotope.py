@@ -24,14 +24,13 @@ one sign wherever nonzero and are not all zero.  Signs of the four slots
 only scale all three products by their product, so the signed witness is
 recovered from the unsigned one.
 
-enumerate_bodies counts, by brute force, the sign maps that pass the check.
+enumerate_bodies counts the sign maps that pass the check by a pruned scan.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 from math import gcd
 
 from .errors import (
@@ -461,44 +460,63 @@ def contract(m: SignMap, fixed) -> SignMap:
 
 # -------------------------------------------------------------- enumerate
 
-def _enum_chunk(task):
-    n, r, width, uniform, lo, hi, want_bodies = task
+def enumerate_bodies(n, r, uniform=False, want_bodies=False):
+    """Count the sign maps on the r-subsets of 1..n (uniform: no zeros) that
+    validate, in '-' < '0' < '+' order, by one pruned scan in this process.
+    Returns (valid_count, total, bodies), total counting every map."""
+    if n < 1 or r < 1 or n < r:
+        raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
     values = (-1, 1) if uniform else (-1, 0, 1)
-    count = 0
-    bodies = []
-    for signs in itertools.islice(itertools.product(values, repeat=width), lo, hi):
-        if check_chirotope(SignMap(r, n, list(signs))).ok:
-            count += 1
-            if want_bodies:
-                bodies.append("".join("-0+"[v + 1] for v in signs))
+    total = len(values) ** len(_layout(n, r)[0])
+    count, bodies = _pruned_scan(n, r, values, want_bodies)
+    return count, total, bodies
+
+
+def _pruned_scan(n, r, values, want_bodies):
+    """(count, bodies), depth first without recursion: signs are set in subset
+    order, each trying `values` in turn, and a branch is cut once a C4
+    instance whose six values are set fails.  A full map is checked for C1, C3."""
+    @functools.cache
+    def c1_c3_hold(zeros):  # C1 and C3 read only where the zeros are
+        m = SignMap(r, n, list(zeros))
+        return not uncovered(m) and not _c3_violation(m)
+
+    subsets, position = _layout(n, r)
+    signs, tried = [0] * len(subsets), [0] * len(subsets)
+    checks, count, bodies, i = [], 0, [], 0  # checks[i]: built on reaching subset i
+    while i >= 0:
+        if tried[i] == len(values):
+            tried[i], i = 0, i - 1
+            continue
+        signs[i], tried[i] = values[tried[i]], tried[i] + 1
+        if i == len(checks):
+            checks.append(_c4_instances(n, subsets, position, i))
+        for ab, cd, ac, bd, ad, bc in checks[i]:
+            t1, t2, t3 = signs[ab] * signs[cd], -signs[ac] * signs[bd], signs[ad] * signs[bc]
+            if 0 < abs(t1 + t2 + t3) == abs(t1) + abs(t2) + abs(t3):
+                break
+        else:
+            if i + 1 < len(subsets):
+                i += 1
+            elif c1_c3_hold(bytes(map(abs, signs))):
+                count += 1
+                if want_bodies:
+                    bodies.append("".join("-0+"[v + 1] for v in signs))
     return count, bodies
 
 
-def enumerate_bodies(n, r, uniform=False, jobs=1, want_bodies=False):
-    """Scan every sign assignment on the r-subsets of 1..n (uniform: no
-    zeros) in '-' < '0' < '+' order and count the ones that validate.
-    At most os.cpu_count() worker processes split the scan.
-    Returns (valid_count, total, bodies)."""
-    if n < 1 or r < 1 or n < r:
-        raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    width = len(_layout(n, r)[0])
-    base = 2 if uniform else 3
-    total = base**width
-    jobs = min(jobs, total, os.cpu_count() or 1)
-    tasks = []
-    for j in range(jobs):
-        lo = total * j // jobs
-        hi = total * (j + 1) // jobs
-        tasks.append((n, r, width, uniform, lo, hi, want_bodies))
-    if jobs == 1:
-        results = [_enum_chunk(tasks[0])]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_enum_chunk, tasks)
-    count = sum(c for c, _ in results)
-    bodies = [b for _, bs in results for b in bs]
-    return count, total, bodies
+def _c4_instances(n, subsets, position, i):
+    """Positions of P + ab, P + cd, P + ac, P + bd, P + ad, P + bc for each
+    prefix P and a < b < c < d outside it whose last subset is i.  Stored values
+    stand in for a pair table, whose merge signs scale all three products alike."""
+    s, out = subsets[i], []
+    rest = [e for e in range(1, n + 1) if e not in s]
+    for pair in itertools.combinations(s, 2):
+        prefix = tuple(e for e in s if e not in pair)
+        for other in itertools.combinations(rest, 2):
+            a, b, c, d = sorted(pair + other)
+            six = tuple(position[tuple(sorted(prefix + q))]
+                        for q in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))
+            if max(six) == i:
+                out.append(six)
+    return out

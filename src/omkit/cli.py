@@ -202,14 +202,16 @@ def _cmd_render(args):
 # -------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args):
-    n, r, jobs = args.n, args.r, 1 if args.jobs is None else args.jobs
+    n, r = args.n, args.r
     width, base = subset_count(n, r), 2 if args.uniform else 3
-    # a bad --jobs skips the guard, so that the library names the first
-    # fault; the power is capped, so that a huge width is refused at once
-    _guard(jobs < 1 or width is not None and base ** min(width, 64) <= MAX_ENUM_MAPS,
+    # --jobs starts no process; a bad one is named after a bad N or R
+    if args.jobs is not None and args.jobs < 1 and n >= r >= 1:
+        raise ValueError("jobs must be at least 1")
+    # the power is capped, so that a huge width is refused at once
+    _guard(width is not None and base ** min(width, 64) <= MAX_ENUM_MAPS,
            f"enumeration over {base}^{width or f'C({n}, {r})'} sign maps is guarded "
            f"(limit {MAX_ENUM_MAPS})")
-    count, total, bodies = enumerate_bodies(n, r, args.uniform, jobs, args.bodies)
+    count, total, bodies = enumerate_bodies(n, r, args.uniform, args.bodies)
     sys.stdout.write("".join(b + "\n" for b in bodies) + f"valid={count} total={total}\n")
     return 0
 

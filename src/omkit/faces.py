@@ -121,9 +121,7 @@ def face_census(m: SignMap) -> FaceCensus:
 
 def _primitive_row(row):
     g = gcd(*row)
-    if g > 1:
-        row = tuple(v // g for v in row)
-    return row
+    return tuple(v // g for v in row) if g > 1 else row
 
 
 def _strictly_feasible(rows) -> bool:
@@ -143,10 +141,7 @@ def _strictly_feasible(rows) -> bool:
         nxt = set(rest)
         for p in pos:
             for q in neg:
-                comb = tuple(
-                    p[0] * qv - q[0] * pv
-                    for pv, qv in zip(p[1:], q[1:])
-                )
+                comb = tuple(p[0] * qv - q[0] * pv for pv, qv in zip(p[1:], q[1:]))
                 if not any(comb):
                     return False
                 nxt.add(_primitive_row(comb))
@@ -164,16 +159,11 @@ def fm_realizable_topes(vectors: VectorConfig) -> set:
     for all i.  Independent of the chirotope pipeline, so the two can be
     compared.  Refused past n = 8 or rank 4."""
     if vectors.r > 4 or vectors.n > 8:
-        raise SizeGuardError(
-            f"feasibility scan over {2 ** vectors.n} sign patterns is guarded at "
-            f"n <= 8, rank <= 4 (got n={vectors.n}, rank={vectors.r})"
-        )
+        raise SizeGuardError(f"feasibility scan over {2 ** vectors.n} sign patterns is guarded "
+                             f"at n <= 8, rank <= 4 (got n={vectors.n}, rank={vectors.r})")
     rows = vectors.cleared_rows()
     out = set()
     for signs in itertools.product((1, -1), repeat=vectors.n):
-        oriented = [
-            tuple(s * v for v in row) for s, row in zip(signs, rows)
-        ]
-        if _strictly_feasible(oriented):
+        if _strictly_feasible([tuple(s * v for v in row) for s, row in zip(signs, rows)]):
             out.add(signs)
     return out

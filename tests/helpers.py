@@ -745,6 +745,33 @@ def non_pappus(sign):
     return SignMap(3, 9, values)
 
 
+# ------------------------------------------------------------- enumeration
+
+def brute_force_bodies(n, r, uniform):
+    """(count, total, bodies) of every sign map on the r-subsets of 1..n
+    (uniform: no zeros) in '-' < '0' < '+' order, each built as a SignMap
+    and passed through check_chirotope: the scan enumerate_bodies prunes."""
+    from omkit import check_chirotope
+
+    values = (-1, 1) if uniform else (-1, 0, 1)
+    width = math.comb(n, r)
+    bodies = ["".join("-0+"[v + 1] for v in signs)
+              for signs in itertools.product(values, repeat=width)
+              if check_chirotope(SignMap(r, n, list(signs))).ok]
+    return len(bodies), len(values) ** width, bodies
+
+
+def rank2_count(n):
+    """Rank 2 chirotopes on n elements: every one is realized by vectors in
+    the plane, read off k >= 2 lines of parallel elements (S(n, k) ways),
+    the lines' cyclic order around the origin ((k - 1)! ways) and a
+    direction per element, up to turning all of them at once (2^(n - 1))."""
+    stirling = [1] + [0] * n  # S(m, k) for the current m, by k
+    for m in range(1, n + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)]
+    return 2 ** (n - 1) * sum(math.factorial(k - 1) * stirling[k] for k in range(2, n + 1))
+
+
 # ---------------------------------------------------- quotient projection
 
 def _rank_fraction(rows):

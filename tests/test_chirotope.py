@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    brute_force_bodies,
     coloops,
     det_laplace,
     dual_signmap,
@@ -23,6 +24,7 @@ from helpers import (
     quotient_coords,
     random_fullrank_rows,
     random_signmap,
+    rank2_count,
     relabel_signmap,
     reorient_signmap,
     rows_with_extra,
@@ -713,3 +715,34 @@ class TestEnumerate:
             orbit.update("".join(serialize_chi(x).splitlines()[1:]) for x in images)
         assert count == len(bodies) == len(orbit) == size
         assert orbit == set(bodies)
+
+    # every (n, r, uniform) with at most 3^6 maps and n <= 11: 48 cells,
+    # where past n = 9 only the one-support cells (n, n) remain
+    SMALL = [(n, r, uniform) for uniform in (False, True) for n in range(1, 12)
+             for r in range(1, n + 1) if (2 if uniform else 3) ** math.comb(n, r) <= 3**6]
+
+    def test_scan_equals_brute_force(self):
+        assert len(self.SMALL) == 48
+        for n, r, uniform in self.SMALL:
+            want = brute_force_bodies(n, r, uniform)
+            assert enumerate_bodies(n, r, uniform, want_bodies=True) == want, (n, r, uniform)
+
+    def test_brute_force_sees_a_scan_without_c4(self, monkeypatch):
+        # with no C4 instance to prune on, the scan lets through maps that
+        # only C4 rejects, and the oracle tells
+        monkeypatch.setattr(chirotope, "_c4_instances", lambda *args: [])
+        assert enumerate_bodies(4, 2, want_bodies=True) != brute_force_bodies(4, 2, False)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bodies_are_the_maps_passing_the_literal_axioms(self, n):
+        _, _, bodies = enumerate_bodies(n, 2, want_bodies=True)
+        literal = ["".join("-0+"[v + 1] for v in signs)
+                   for signs in itertools.product((-1, 0, 1), repeat=math.comb(n, 2))
+                   if literal_axiom_check(SignMap(2, n, list(signs)))]
+        assert bodies == literal
+
+    def test_rank2_counts_past_the_guard(self):
+        # the CLI refuses 6 2 (3^15 maps); the library scans it
+        counts = [2, 20, 200, 2384, 34592]
+        assert [rank2_count(n) for n in range(2, 7)] == counts
+        assert [enumerate_bodies(n, 2)[0] for n in range(2, 7)] == counts

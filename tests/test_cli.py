@@ -1,6 +1,5 @@
 import errno
 import importlib
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -522,37 +521,11 @@ class TestEnumerate:
         assert res.stdout == "valid=8 total=8\n"
 
     def test_jobs_deterministic(self):
+        # --jobs is checked but starts no process
         serial = run_om("enumerate", "4", "2", "--bodies")
         parallel = run_om("enumerate", "4", "2", "--bodies", "--jobs", "3")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
-
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool records the size asked for and maps serially, so no
-        # worker process is started
-        asked = []
-
-        class FakePool:
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        serial = enumerate_bodies(3, 2, want_bodies=True)
-        assert enumerate_bodies(3, 2, jobs=100000, want_bodies=True) == serial
-        assert asked == [3]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert enumerate_bodies(3, 2, jobs=100000, want_bodies=True) == serial
-        assert asked == [3]
 
     def test_import_leaves_cli_unloaded(self):
         code = "import sys, omkit; print('omkit.cli' in sys.modules)"
@@ -563,12 +536,13 @@ class TestEnumerate:
     def test_bad_sizes(self, capsys):
         assert run_om("enumerate", "2", "3").returncode == 2
         assert run_om("enumerate", "0", "0").returncode == 2
-        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
-            enumerate_bodies(3, 2, jobs=0)
         from omkit import cli
 
         assert cli.main(["enumerate", "3", "2", "--jobs", "0"]) == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
+        # a bad N or R is named before a bad --jobs
+        assert cli.main(["enumerate", "2", "3", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: need n >= r >= 1, got n=2, r=3\n"
 
     def test_jobs_checked_before_the_guard(self, capsys):
         # a bad --jobs is a usage error at every N and R, guarded or not
@@ -587,10 +561,10 @@ class TestEnumerate:
         # 15 and 20 supports, 3^15 and 3^20 maps: refused before any scan
         from omkit import chirotope, cli
 
-        def scan(task):
+        def scan(*args):
             raise AssertionError("scanned past the guard")
 
-        monkeypatch.setattr(chirotope, "_enum_chunk", scan)
+        monkeypatch.setattr(chirotope, "_pruned_scan", scan)
         monkeypatch.delenv("OM_SIZE_OVERRIDE", raising=False)
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
@@ -601,7 +575,7 @@ class TestEnumerate:
         # limit itself passes; the library sets no limit, so 3^15 does too
         from omkit import chirotope
 
-        monkeypatch.setattr(chirotope, "_enum_chunk", lambda task: (0, []))
+        monkeypatch.setattr(chirotope, "_pruned_scan", lambda *args: (0, []))
         assert enumerate_bodies(5, 2) == (0, 3**10, [])
         assert enumerate_bodies(5, 3) == (0, 3**10, [])
         assert enumerate_bodies(6, 2, uniform=True) == (0, 2**15, [])
@@ -856,7 +830,6 @@ class TestUsage:
             ["0", "1", "2", "3", "-1", "99", "1,2", "auto", "chi", "hls", "vec", "x", "2.5",
              "", "١", out_path],
         ]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # --jobs starts no process
         rng = random.Random(20261018)
 
         def well_formed():
